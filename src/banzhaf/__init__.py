@@ -36,6 +36,7 @@ from .sop import (
     make_disjoint,
     parse_sop,
     real_transform_eval,
+    sop_names,
     sop_to_tt,
     sop_weight_disjoint,
     sop_weight_ie,
@@ -69,6 +70,7 @@ __all__ = [
     "parse_sop",
     "parse_sym",
     "real_transform_eval",
+    "sop_names",
     "sop_to_tt",
     "sop_weight_disjoint",
     "sop_weight_ie",

@@ -34,6 +34,7 @@ from .sop import (
     SopSyntaxError,
     make_disjoint,
     parse_sop,
+    sop_names,
     sop_to_tt,
     sop_weight_disjoint,
     sop_weight_ie,
@@ -199,18 +200,6 @@ def _system_from_args(args: argparse.Namespace) -> VotingSystem:
     return VotingSystem(args.quota, tuple(_int_csv(args.weights)), names)
 
 
-def _names_from_expr(text: str) -> list[str]:
-    """Variable names in order of first appearance, for when none are declared."""
-    from .sop import _TOKEN, _NAME
-
-    seen: list[str] = []
-    for m in _TOKEN.finditer(text):
-        tok = m.group(0)
-        if _NAME.fullmatch(tok) and tok not in seen:
-            seen.append(tok)
-    return seen
-
-
 def format_sop(expr: SopExpr, names: Sequence[str]) -> str:
     """Render cubes as whitespace products joined by ``|``; constants as 0/1."""
     if not expr.cubes:
@@ -240,7 +229,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_weight(args: argparse.Namespace) -> int:
-    names = _csv(args.names) if args.names else _names_from_expr(args.expr)
+    names = _csv(args.names) if args.names else sop_names(args.expr)
     expr = parse_sop(args.expr, names)
     methods = ("table", "disjoint", "ie") if args.method == "all" else (args.method,)
     results = {}
@@ -266,7 +255,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     if args.expr is not None:
         if args.quota is not None or args.weights is not None or args.input is not None:
             raise ValueError("give either --expr or a voting system, not both")
-        names = _csv(args.names) if args.names else _names_from_expr(args.expr)
+        names = _csv(args.names) if args.names else sop_names(args.expr)
         table = sop_to_tt(parse_sop(args.expr, names))
     else:
         system = _system_from_args(args)

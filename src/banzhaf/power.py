@@ -8,6 +8,8 @@ path computes on the dense truth table.  Two independent oracles recompute
 the same number from the quota-and-weights description alone - one by direct
 enumeration of all vote configurations, one by subset-sum counting over the
 other voters - and :func:`analyze` treats any disagreement as a hard error.
+:func:`analyze` computes the count vector once per system; the dummies (zero
+counts) and the symmetry classes (equal counts) are read off it.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .truthtable import N_MAX, TruthTable
@@ -33,7 +35,10 @@ ORACLE_AUTO_LIMIT = 12
 
 
 class OracleDisagreementError(RuntimeError):
-    """The derivative path and the oracles returned different swing counts.
+    """The analysis and an independent recomputation disagree.
+
+    Either the oracles returned different swing counts, or the dummies or
+    symmetry classes read off the counts disagree with the truth table.
 
     This always signals an implementation bug, never a property of the
     analyzed system, so it is raised rather than reported.
@@ -72,37 +77,39 @@ class PowerReport:
 # -- derivative-weight path ----------------------------------------------------
 
 
+def _essential(raw: Sequence[int]) -> tuple[int, ...]:
+    """Raw swing counts halved once per dummy voter (see the module docstring)."""
+    dummies = sum(1 for c in raw if c == 0)
+    return tuple(c >> dummies for c in raw)
+
+
 def tbp(table: TruthTable, i: int) -> int:
     """Swing count of voter ``i`` from the dense table of the rule.
 
     Weight of the Boolean difference about ``X_i``, divided by ``2**d`` for
-    the ``d`` dummy variables among the others (see the module docstring for
-    the convention).
+    the ``d`` dummy variables among the others (see the module docstring).
     """
-    raw = table.boolean_difference(i).weight()
-    if raw == 0:
-        return 0
-    vacuous = sum(1 for j in range(1, table.n + 1) if j != i and table.is_vacuous_in(j))
-    return raw >> vacuous
+    if not 1 <= i <= table.n:
+        raise ValueError(f"variable index {i} out of range 1..{table.n}")
+    return tbp_all(table)[i - 1]
 
 
 def tbp_all(table: TruthTable, classes: Optional[SymmetryClasses] = None) -> tuple[int, ...]:
-    """Swing counts for all voters, one derivative per symmetry class.
+    """Swing counts for all voters: Boolean-difference weights, one per class.
 
-    With a valid partition only class representatives are differentiated and
-    the value is broadcast, which is exactly equivalent to differentiating
-    every variable.  Without one, every variable is processed.
+    With a partition into interchangeable voters only class representatives
+    are differentiated and the weight is broadcast, which is exactly
+    equivalent to differentiating every variable.  Without one, every
+    variable is processed.  Weights are halved once per zero weight, i.e.
+    per dummy (see the module docstring).
     """
-    if classes is None:
-        return tuple(tbp(table, i) for i in range(1, table.n + 1))
-    values: dict[int, int] = {}
-    for group in classes:
-        value = tbp(table, group[0])
-        for i in group:
-            values[i] = value
-    if len(values) != table.n:
+    groups = classes if classes is not None else [(i,) for i in range(1, table.n + 1)]
+    raw: dict[int, int] = {}
+    for group in groups:
+        raw.update(dict.fromkeys(group, table.difference_weight(group[0])))
+    if len(raw) != table.n:
         raise ValueError("symmetry classes do not cover all voters")
-    return tuple(values[i] for i in range(1, table.n + 1))
+    return _essential([raw[i] for i in range(1, table.n + 1)])
 
 
 def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
@@ -118,7 +125,6 @@ def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
 # -- enumeration oracle ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _enum_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     """Raw per-voter swing counts by walking all 2**n vote configurations.
 
@@ -145,23 +151,23 @@ def _enum_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _oracle_count(kernel, system: VotingSystem, i: int) -> int:
+    """Voter ``i``'s count from an oracle kernel's whole raw count vector."""
+    if not 1 <= i <= system.n:
+        raise ValueError(f"voter index {i} out of range 1..{system.n}")
+    return _essential(kernel(system.quota, system.weights))[i - 1]
+
+
 def tbp_oracle_enum(system: VotingSystem, i: int) -> int:
     """Independent swing count for voter ``i`` by exhaustive enumeration."""
     if system.n > N_MAX:
         raise ValueError(f"enumeration oracle limited to {N_MAX} voters, got {system.n}")
-    if not 1 <= i <= system.n:
-        raise ValueError(f"voter index {i} out of range 1..{system.n}")
-    counts = _enum_swing_counts(system.quota, system.weights)
-    raw = counts[i - 1]
-    if raw == 0:
-        return 0
-    return raw >> sum(1 for c in counts if c == 0)
+    return _oracle_count(_enum_swing_counts, system, i)
 
 
 # -- subset-sum oracle -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     """Raw per-voter swing counts by subset-sum counting, in exact integers.
 
@@ -192,13 +198,7 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
 
 def tbp_oracle_dp(system: VotingSystem, i: int) -> int:
     """Independent swing count for voter ``i`` by subset-sum counting."""
-    if not 1 <= i <= system.n:
-        raise ValueError(f"voter index {i} out of range 1..{system.n}")
-    counts = _dp_swing_counts(system.quota, system.weights)
-    raw = counts[i - 1]
-    if raw == 0:
-        return 0
-    return raw >> sum(1 for c in counts if c == 0)
+    return _oracle_count(_dp_swing_counts, system, i)
 
 
 # -- full analysis ------------------------------------------------------------
@@ -207,61 +207,57 @@ def tbp_oracle_dp(system: VotingSystem, i: int) -> int:
 def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     """Analyze a voting system: powers, dummies, symmetry classes, findings.
 
-    Up to :data:`~banzhaf.truthtable.N_MAX` voters the switching-algebraic
-    path is used and, by default for up to :data:`ORACLE_AUTO_LIMIT` voters,
-    cross-checked against both oracles (`verify` overrides the default either
-    way).  Beyond ``N_MAX`` the subset-sum oracle alone carries the analysis,
-    symmetry classes fall back to the equal-weight certificate, and no
-    cross-check is possible.
+    The swing counts come from the dense table's Boolean-difference weights
+    up to :data:`~banzhaf.truthtable.N_MAX` voters, one per group of equal
+    weights, and from the subset-sum oracle beyond.  On both routes the
+    dummies are the zero counts and the classes the groups of equal counts:
+    two voters of a weighted rule are interchangeable exactly when they swing
+    equally often (Taylor & Zwicker, *Simple Games*, 1999).  By default up to
+    :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way) the
+    counts are cross-checked against both oracles, and the dummies and
+    classes against the table's vacuity and transposition tests.
     """
     n = system.n
     if n > N_MAX:
         if verify:
             raise ValueError(f"cross-check needs a dense table, so at most {N_MAX} voters")
-        return _analyze_dp_only(system)
+        table = None
+        tbp_vec = _essential(_dp_swing_counts(system.quota, system.weights))
+        total = system.total_weight
+        # non-negative weights can only help a bill
+        checks = StructuralChecks(True, system.quota <= total, system.quota > total)
+    else:
+        table = system.to_table()
+        tbp_vec = tbp_all(table, SymmetryClasses.of_equal(system.weights))
+        checks = StructuralChecks(
+            monotone=table.is_monotone(),
+            causal=table.is_causal(),
+            constant=table.weight() in (0, 1 << n),
+        )
+    dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
+    classes = SymmetryClasses.of_equal(tbp_vec)
 
-    table = system.to_table()
-    classes = system.symmetry_classes()
-    dummies = frozenset(i for i in range(1, n + 1) if table.is_vacuous_in(i))
-    tbp_vec = tbp_all(table, classes)
-    checks = StructuralChecks(
-        monotone=table.is_monotone(),
-        causal=table.is_causal(),
-        constant=table.weight() in (0, 1 << n),
-    )
-
-    do_verify = verify if verify is not None else n <= ORACLE_AUTO_LIMIT
+    if verify is None:
+        verify = n <= ORACLE_AUTO_LIMIT
+    do_verify = table is not None and bool(verify)
     if do_verify:
-        enum_vec = tuple(tbp_oracle_enum(system, i) for i in range(1, n + 1))
-        dp_vec = tuple(tbp_oracle_dp(system, i) for i in range(1, n + 1))
-        if not (tbp_vec == enum_vec == dp_vec):
+        enum_vec = _essential(_enum_swing_counts(system.quota, system.weights))
+        dp_vec = _essential(_dp_swing_counts(system.quota, system.weights))
+        lookup = {i: group for group in classes for i in group}
+        voters = range(1, n + 1)
+        if not (
+            tbp_vec == enum_vec == dp_vec
+            and all((i in dummies) == table.is_vacuous_in(i) for i in voters)
+            and all(
+                (lookup[i] is lookup[j]) == table.is_symmetric_in(i, j)
+                for i, j in combinations(voters, 2)
+            )
+        ):
             raise OracleDisagreementError(
-                f"swing counts disagree for {system}: "
-                f"derivative={tbp_vec} enumeration={enum_vec} subset-sum={dp_vec}"
+                f"analysis of {system} fails its cross-check: derivative={tbp_vec} "
+                f"enumeration={enum_vec} subset-sum={dp_vec} dummies={sorted(dummies)} "
+                f"classes={classes.classes}"
             )
 
     ntbp = normalize(tbp_vec) if any(tbp_vec) else ()
-    return PowerReport(tbp_vec, ntbp, dummies, classes, checks, bool(do_verify))
-
-
-def _analyze_dp_only(system: VotingSystem) -> PowerReport:
-    n = system.n
-    counts = _dp_swing_counts(system.quota, system.weights)
-    zeros = sum(1 for c in counts if c == 0)
-    tbp_vec = tuple(0 if c == 0 else c >> zeros for c in counts)
-    dummies = frozenset(i for i in range(1, n + 1) if counts[i - 1] == 0)
-
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(system.weights, 1):
-        groups.setdefault(w, []).append(i)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-    classes = SymmetryClasses(tuple(tuple(g) for g in ordered))
-
-    total = system.total_weight
-    checks = StructuralChecks(
-        monotone=True,  # non-negative weights can only help a bill
-        causal=system.quota <= total,
-        constant=system.quota > total,
-    )
-    ntbp = normalize(tbp_vec) if any(tbp_vec) else ()
-    return PowerReport(tbp_vec, ntbp, dummies, classes, checks, False)
+    return PowerReport(tbp_vec, ntbp, dummies, classes, checks, do_verify)

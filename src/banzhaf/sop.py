@@ -122,6 +122,11 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
+def sop_names(text: str) -> list[str]:
+    """Variable names in SOP text, in order of first appearance."""
+    return list(dict.fromkeys(t for t in _TOKEN.findall(text) if _NAME.fullmatch(t)))
+
+
 def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     """Parse SOP text over the declared variable name list.
 

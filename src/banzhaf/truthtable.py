@@ -177,20 +177,24 @@ class TruthTable:
         half = self.bits >> (1 << pos) if v else self.bits
         return TruthTable(self.n - 1, _squeeze(half & _var_zero_mask(pos, self.n), pos, self.n))
 
-    def boolean_difference(self, i: int) -> "TruthTable":
-        """XOR of the two cofactors at ``X_i``, as an (n-1)-variable table.
+    def _fold(self, i: int) -> int:
+        """The Boolean difference at ``X_i``, left in the X_i = 0 half-blocks.
 
         The two halves of the table are folded onto each other and XORed
         cell-wise; a one marks an input where flipping ``X_i`` flips f.
         """
-        if self.n < 1:
-            raise ValueError("cannot differentiate a 0-variable function")
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
         pos = self.n - i
-        mask = _var_zero_mask(pos, self.n)
-        folded = (self.bits ^ (self.bits >> (1 << pos))) & mask
-        return TruthTable(self.n - 1, _squeeze(folded, pos, self.n))
+        return (self.bits ^ (self.bits >> (1 << pos))) & _var_zero_mask(pos, self.n)
+
+    def boolean_difference(self, i: int) -> "TruthTable":
+        """XOR of the two cofactors at ``X_i``, as an (n-1)-variable table."""
+        return TruthTable(self.n - 1, _squeeze(self._fold(i), self.n - i, self.n))
+
+    def difference_weight(self, i: int) -> int:
+        """Weight of :meth:`boolean_difference`, read without building it."""
+        return self._fold(i).bit_count()
 
     def insert_vacuous(self, i: int) -> "TruthTable":
         """Insert a new, irrelevant variable so it becomes ``X_i`` of the result.
@@ -218,10 +222,7 @@ class TruthTable:
 
     def is_vacuous_in(self, i: int) -> bool:
         """True iff f does not depend on ``X_i`` (zero Boolean difference)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.n}")
-        pos = self.n - i
-        return ((self.bits ^ (self.bits >> (1 << pos))) & _var_zero_mask(pos, self.n)) == 0
+        return self._fold(i) == 0
 
     def is_monotone(self) -> bool:
         """True iff raising any input from 0 to 1 never lowers the output."""

@@ -18,6 +18,11 @@ from typing import Optional, Sequence
 from .truthtable import N_MAX, TruthTable
 
 
+def _is_int(x: object) -> bool:
+    """An ``int`` proper: ``True`` and ``False`` are not quotas or weights."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class VotingSystem:
     """Quota-and-weights model ``(quota; w1, .., wn)`` with optional names."""
@@ -30,12 +35,12 @@ class VotingSystem:
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
-        if not isinstance(self.quota, int) or self.quota < 1:
+        if not _is_int(self.quota) or self.quota < 1:
             raise ValueError(f"quota must be a positive integer, got {self.quota!r}")
         if not self.weights:
             raise ValueError("a voting system needs at least one voter")
         for w in self.weights:
-            if not isinstance(w, int) or w < 0:
+            if not _is_int(w) or w < 0:
                 raise ValueError(f"weights must be non-negative integers, got {w!r}")
         if self.names is not None:
             if len(self.names) != len(self.weights):
@@ -62,7 +67,7 @@ class VotingSystem:
 
     def scaled(self, c: int) -> "VotingSystem":
         """The same rule with quota and every weight multiplied by ``c``."""
-        if not isinstance(c, int) or c < 1:
+        if not _is_int(c) or c < 1:
             raise ValueError(f"scale factor must be a positive integer, got {c!r}")
         return VotingSystem(self.quota * c, tuple(w * c for w in self.weights), self.names)
 
@@ -102,30 +107,16 @@ class VotingSystem:
     # -- structural findings ---------------------------------------------------
 
     def dummies(self) -> frozenset[int]:
-        """1-based indices of voters the outcome never depends on."""
-        table = self.to_table()
-        return frozenset(i for i in range(1, self.n + 1) if table.is_vacuous_in(i))
+        """1-based indices of voters the outcome never depends on (zero swing count)."""
+        from .power import analyze  # power builds on this module
+
+        return analyze(self, verify=False).dummies
 
     def symmetry_classes(self) -> "SymmetryClasses":
-        """Partition voters by interchangeability of their votes.
+        """Partition voters by interchangeability: the groups of equal swing counts."""
+        from .power import analyze
 
-        Equal weights certify a pair as interchangeable outright; unequal
-        weights fall back to the exact transposition test on the dense table,
-        which also catches functionally symmetric voters whose weights differ.
-        """
-        table = self.to_table()
-        groups: list[list[int]] = []
-        for i in range(1, self.n + 1):
-            for group in groups:
-                rep = group[0]
-                if self.weights[i - 1] == self.weights[rep - 1] or table.is_symmetric_in(
-                    i, rep
-                ):
-                    group.append(i)
-                    break
-            else:
-                groups.append([i])
-        return SymmetryClasses(tuple(tuple(g) for g in groups))
+        return analyze(self, verify=False).classes
 
 
 @dataclass(frozen=True)
@@ -147,6 +138,14 @@ class SymmetryClasses:
             seen.update(group)
         if seen and seen != set(range(1, max(seen) + 1)):
             raise ValueError("symmetry classes must cover voters 1..n")
+
+    @classmethod
+    def of_equal(cls, values: Sequence[object]) -> "SymmetryClasses":
+        """Voters grouped by equal ``values[i - 1]``, ordered by first member."""
+        groups: dict[object, list[int]] = {}
+        for i, v in enumerate(values, 1):
+            groups.setdefault(v, []).append(i)
+        return cls(tuple(groups.values()))
 
     @property
     def representatives(self) -> tuple[int, ...]:

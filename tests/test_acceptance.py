@@ -30,7 +30,6 @@ from banzhaf import (
     tbp_oracle_enum,
     tt_to_minterm_sop,
 )
-from banzhaf.power import _dp_swing_counts, _enum_swing_counts
 from banzhaf.truthtable import _low_blocks
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
@@ -57,8 +56,6 @@ def criterion(num, label):
 
 def _clear_caches():
     # make timed runs compute everything from scratch
-    _enum_swing_counts.cache_clear()
-    _dp_swing_counts.cache_clear()
     _low_blocks.cache_clear()
 
 

@@ -237,6 +237,33 @@ def test_analyze_beyond_dense_limit_uses_subset_sums():
         analyze(system, verify=True)
 
 
+def test_analyze_classes_by_count_on_both_routes():
+    # weight 1 swings exactly as often as weight 2: one class, dense route
+    # and subset-sum route alike
+    for blocs in (12, 24):
+        report = analyze(VotingSystem(blocs + 1, (2,) * blocs + (1,)))
+        assert report.classes.classes == (tuple(range(1, blocs + 2)),)
+    # the 28 small voters never swing: one class of blocs, one of dummies
+    report = analyze(VotingSystem(1000, (500, 500) + tuple(range(1, 29))))
+    assert report.classes.classes == ((1, 2), tuple(range(3, 31)))
+    assert report.dummies == frozenset(range(3, 31))
+
+
+def test_count_classes_and_dummies_match_the_table():
+    rng = random.Random(5004)
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        weights = tuple(rng.randint(0, rng.choice((3, 20))) for _ in range(n))
+        system = VotingSystem(rng.randint(1, sum(weights) + 2), weights)
+        report = analyze(system, verify=False)
+        table = system.to_table()
+        assert report.dummies == {i for i in range(1, n + 1) if table.is_vacuous_in(i)}
+        lookup = {i: group for group in report.classes for i in group}
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert (lookup[i] is lookup[j]) == table.is_symmetric_in(i, j)
+
+
 def test_symmetric_closed_form_against_analysis():
     for n in range(1, 9):
         for k in range(1, n + 1):

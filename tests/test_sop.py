@@ -15,6 +15,7 @@ from banzhaf import (
     make_disjoint,
     parse_sop,
     real_transform_eval,
+    sop_names,
     sop_to_tt,
     sop_weight_disjoint,
     sop_weight_ie,
@@ -98,6 +99,12 @@ def test_declared_order_wins_over_appearance():
     expr = parse_sop("B A", ["A", "B"])
     assert cubes_as_sets(expr) == [({1, 2}, set())]
     assert expr.n == 2
+
+
+def test_sop_names_in_order_of_first_appearance():
+    assert sop_names("B' & A | C A_1 | B") == ["B", "A", "C", "A_1"]
+    assert sop_names("") == []
+    assert sop_names("| & '") == []
 
 
 def test_duplicate_or_invalid_names_rejected():

@@ -118,6 +118,7 @@ def test_boolean_difference_is_xor_of_restrictions():
         i = rng.randint(1, n)
         expected = table.restrict(i, 0) ^ table.restrict(i, 1)
         assert table.boolean_difference(i) == expected
+        assert table.difference_weight(i) == expected.weight()
 
 
 def test_boolean_difference_of_two_of_three():

@@ -40,6 +40,17 @@ def test_system_validation():
         VotingSystem(2, (1, 1), ("A", "A"))
 
 
+def test_bool_is_not_a_quota_or_weight():
+    with pytest.raises(ValueError, match="quota"):
+        VotingSystem(True, (True, 1))
+    with pytest.raises(ValueError, match="weights"):
+        VotingSystem(2, (True, 1))
+    with pytest.raises(ValueError, match="weights"):
+        VotingSystem(1, (1, False))
+    with pytest.raises(ValueError, match="scale factor"):
+        EEC.scaled(True)
+
+
 def test_default_names():
     assert VotingSystem(2, (1, 1, 1)).voter_names == ("X1", "X2", "X3")
     assert EEC.voter_names == ("F", "G", "I", "B", "N", "L")
