@@ -15,6 +15,7 @@ library; the ``banzhaf`` command wraps it for the command line.
 """
 
 from .power import (
+    MAX_DP_BYTES,
     NoDecisiveVoterError,
     ORACLE_AUTO_LIMIT,
     OracleDisagreementError,
@@ -49,6 +50,7 @@ from .voting import SymmetryClasses, VotingSystem, check_scale_invariance
 
 __all__ = [
     "Cube",
+    "MAX_DP_BYTES",
     "MAX_IE_CUBES",
     "N_MAX",
     "NoDecisiveVoterError",

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Optional, Sequence
 
 from .truthtable import N_MAX, TruthTable
@@ -32,6 +34,11 @@ from .voting import SymmetryClasses, VotingSystem
 
 #: analyze() runs the oracle cross-check by default up to this arity.
 ORACLE_AUTO_LIMIT = 12
+
+#: Largest packed subset-sum table, in bytes, that the subset-sum counter
+#: builds.  Its time and memory grow with this size, so inputs past it are
+#: refused with ``ValueError`` rather than left to run out of memory.
+MAX_DP_BYTES = 1 << 25
 
 
 class OracleDisagreementError(RuntimeError):
@@ -151,18 +158,26 @@ def _enum_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _oracle_count(kernel, system: VotingSystem, i: int) -> int:
-    """Voter ``i``'s count from an oracle kernel's whole raw count vector."""
+def _oracle_count(vector, system: VotingSystem, i: int) -> int:
+    """Voter ``i``'s entry of an oracle's count vector for ``system``."""
     if not 1 <= i <= system.n:
         raise ValueError(f"voter index {i} out of range 1..{system.n}")
-    return _essential(kernel(system.quota, system.weights))[i - 1]
+    return vector(system.quota, system.weights)[i - 1]
+
+
+# The per-voter wrappers keep the last system's vector, one cache each, so a
+# loop over one system's voters runs each kernel once even when the loop
+# alternates between the two oracles.  analyze() calls the kernels directly.
+@lru_cache(maxsize=1)
+def _enum_vector(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
+    return _essential(_enum_swing_counts(quota, weights))
 
 
 def tbp_oracle_enum(system: VotingSystem, i: int) -> int:
     """Independent swing count for voter ``i`` by exhaustive enumeration."""
     if system.n > N_MAX:
         raise ValueError(f"enumeration oracle limited to {N_MAX} voters, got {system.n}")
-    return _oracle_count(_enum_swing_counts, system, i)
+    return _oracle_count(_enum_vector, system, i)
 
 
 # -- subset-sum oracle -----------------------------------------------------------
@@ -171,34 +186,80 @@ def tbp_oracle_enum(system: VotingSystem, i: int) -> int:
 def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     """Raw per-voter swing counts by subset-sum counting, in exact integers.
 
-    One forward pass counts the subsets of all voters at each weight sum;
-    each voter is then un-inserted to get the distribution over the others,
-    and the swings are the subsets landing in ``[quota - w, quota - 1]``.
-    Costs O(n * total_weight) arithmetic operations, so it also serves
-    systems too large for a dense table.
+    A voter of weight ``w`` swings for the subsets of the others whose sum
+    lies in ``[quota - w, quota - 1]``.  Quota and weights are first divided
+    by their gcd ``g``: the rule ``(q; w)`` is the rule ``(ceil(q/g); w/g)``.
+    Only sums below the quota matter, so one forward pass counts the subsets
+    of all voters at each sum ``s < q`` as the coefficients of the polynomial
+    ``prod (1 + x**w) mod x**q``.  The coefficients are packed into one big
+    integer, ``8 * (n // 8 + 1)`` bits each (no count exceeds ``2**n``), so a
+    voter costs one shift, one add and one mask, and a voter with ``w >= q``
+    costs nothing.  The same shift-and-add turns the counts into prefix sums.
+    Dividing by ``1 + x**w`` un-inserts a voter, so the others' window sum
+    for each *distinct* weight is an alternating sum of ``O(q / w)`` prefix
+    sums read from the packed table.
+
+    Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes plus
+    O(sum over distinct weights of q / w) small steps, after the gcd
+    reduction, and allocates nothing proportional to the total weight.
+    Raises ``ValueError`` when that table would exceed :data:`MAX_DP_BYTES`.
     """
-    total = sum(weights)
-    full = [0] * (total + 1)
-    full[0] = 1
-    for w in weights:
-        for s in range(total - w, -1, -1):
-            full[s + w] += full[s]
-    counts = []
-    for w in weights:
-        if w == 0:
-            counts.append(0)  # the swing interval [quota, quota-1] is empty
-            continue
-        others = [0] * (total + 1)
-        for s in range(total + 1):
-            others[s] = full[s] - (others[s - w] if s >= w else 0)
-        lo, hi = max(0, quota - w), min(quota - 1, total)
-        counts.append(sum(others[lo : hi + 1]))
-    return tuple(counts)
+    n = len(weights)
+    if quota > sum(weights):  # nobody wins, so nobody swings (all-zero weights too)
+        return (0,) * n
+    g = gcd(*weights)
+    q = -(-quota // g)
+    nbytes = n // 8 + 1
+    if q * nbytes > MAX_DP_BYTES:
+        hint = (
+            "; the dense route needs no such table, so pass verify=False "
+            "(--no-oracle on the command line)"
+            if n <= N_MAX
+            else ""
+        )
+        raise ValueError(
+            f"subset-sum table of {q} sums x {nbytes} bytes exceeds "
+            f"MAX_DP_BYTES = {MAX_DP_BYTES}{hint}"
+        )
+    bits = 8 * nbytes
+    mask = (1 << q * bits) - 1
+    poly = 1
+    for w in sorted(weights):  # light voters first keep the integer short longer
+        w //= g
+        if w < q:  # (1 + x**w) = 1 mod x**q
+            poly = (poly + (poly << w * bits)) & mask
+    span = 1  # times 1 + x + .. + x**(2*span - 1): field s becomes P[0] + .. + P[s]
+    while span < q:
+        poly = (poly + (poly << span * bits)) & mask
+        span *= 2
+    packed = poly.to_bytes(q * nbytes, "little")
+
+    def prefixes(top: int, step: int) -> int:
+        """Sum of pre[t] = #(subsets with sum < t) over t = top, top - step, .. > 0."""
+        return sum(
+            int.from_bytes(packed[end - nbytes : end], "little")
+            for end in range(top * nbytes, 0, -step * nbytes)
+        )
+
+    # The others' count in [q - r, q - 1] is the sum over j >= 0 of
+    # (-1)**j * (pre[q - j*r] - pre[q - (j+1)*r]), with pre[t] = 0 for t <= 0,
+    # which regroups to pre[q] + 2 * (sum over j >= 1 of (-1)**j * pre[q - j*r]).
+    losing = prefixes(q, q)
+    by_weight = {0: 0}  # a weight-0 voter's window [q, q-1] is empty
+    for w in set(weights) - {0}:
+        r = w // g
+        by_weight[w] = losing - 2 * (prefixes(q - r, 2 * r) - prefixes(q - 2 * r, 2 * r))
+    return tuple(by_weight[w] for w in weights)
+
+
+@lru_cache(maxsize=1)
+def _dp_vector(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
+    return _essential(_dp_swing_counts(quota, weights))
 
 
 def tbp_oracle_dp(system: VotingSystem, i: int) -> int:
     """Independent swing count for voter ``i`` by subset-sum counting."""
-    return _oracle_count(_dp_swing_counts, system, i)
+    return _oracle_count(_dp_vector, system, i)
 
 
 # -- full analysis ------------------------------------------------------------
@@ -212,41 +273,41 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     weights, and from the subset-sum oracle beyond.  On both routes the
     dummies are the zero counts and the classes the groups of equal counts:
     two voters of a weighted rule are interchangeable exactly when they swing
-    equally often (Taylor & Zwicker, *Simple Games*, 1999).  By default up to
+    equally often (Taylor & Zwicker, *Simple Games*, 1999).  The structural
+    findings are read off the rule: it is monotone, and causal unless the
+    quota exceeds the total weight, when it is constant.  By default up to
     :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way) the
-    counts are cross-checked against both oracles, and the dummies and
-    classes against the table's vacuity and transposition tests.
+    counts are cross-checked against both oracles, and the dummies, classes
+    and findings against the table's vacuity, transposition, monotonicity
+    and causality tests and its weight.
     """
     n = system.n
+    if verify is None:
+        verify = n <= ORACLE_AUTO_LIMIT
+    if verify and n > N_MAX:
+        raise ValueError(f"cross-check needs a dense table, so at most {N_MAX} voters")
+    quota, weights, total = system.quota, system.weights, system.total_weight
+    # non-negative weights can only help a bill, and the empty coalition loses
+    checks = StructuralChecks(True, quota <= total, quota > total)
     if n > N_MAX:
-        if verify:
-            raise ValueError(f"cross-check needs a dense table, so at most {N_MAX} voters")
-        table = None
-        tbp_vec = _essential(_dp_swing_counts(system.quota, system.weights))
-        total = system.total_weight
-        # non-negative weights can only help a bill
-        checks = StructuralChecks(True, system.quota <= total, system.quota > total)
+        tbp_vec = _essential(_dp_swing_counts(quota, weights))
     else:
         table = system.to_table()
-        tbp_vec = tbp_all(table, SymmetryClasses.of_equal(system.weights))
-        checks = StructuralChecks(
-            monotone=table.is_monotone(),
-            causal=table.is_causal(),
-            constant=table.weight() in (0, 1 << n),
-        )
+        tbp_vec = tbp_all(table, SymmetryClasses.of_equal(weights))
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = SymmetryClasses.of_equal(tbp_vec)
 
-    if verify is None:
-        verify = n <= ORACLE_AUTO_LIMIT
-    do_verify = table is not None and bool(verify)
-    if do_verify:
-        enum_vec = _essential(_enum_swing_counts(system.quota, system.weights))
-        dp_vec = _essential(_dp_swing_counts(system.quota, system.weights))
+    if verify:
+        dp_vec = _essential(_dp_swing_counts(quota, weights))
+        enum_vec = _essential(_enum_swing_counts(quota, weights))
         lookup = {i: group for group in classes for i in group}
         voters = range(1, n + 1)
         if not (
             tbp_vec == enum_vec == dp_vec
+            and checks
+            == StructuralChecks(
+                table.is_monotone(), table.is_causal(), table.weight() in (0, 1 << n)
+            )
             and all((i in dummies) == table.is_vacuous_in(i) for i in voters)
             and all(
                 (lookup[i] is lookup[j]) == table.is_symmetric_in(i, j)
@@ -256,8 +317,8 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
             raise OracleDisagreementError(
                 f"analysis of {system} fails its cross-check: derivative={tbp_vec} "
                 f"enumeration={enum_vec} subset-sum={dp_vec} dummies={sorted(dummies)} "
-                f"classes={classes.classes}"
+                f"classes={classes.classes} checks={checks}"
             )
 
     ntbp = normalize(tbp_vec) if any(tbp_vec) else ()
-    return PowerReport(tbp_vec, ntbp, dummies, classes, checks, do_verify)
+    return PowerReport(tbp_vec, ntbp, dummies, classes, checks, bool(verify))

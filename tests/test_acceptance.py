@@ -30,6 +30,7 @@ from banzhaf import (
     tbp_oracle_enum,
     tt_to_minterm_sop,
 )
+from banzhaf.power import _dp_vector, _enum_vector
 from banzhaf.truthtable import _low_blocks
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
@@ -57,6 +58,8 @@ def criterion(num, label):
 def _clear_caches():
     # make timed runs compute everything from scratch
     _low_blocks.cache_clear()
+    _enum_vector.cache_clear()
+    _dp_vector.cache_clear()
 
 
 @criterion(1, "six-member council reproduction, < 10 ms")

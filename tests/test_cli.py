@@ -67,6 +67,16 @@ def test_analyze_no_oracle_flag(capsys):
     assert "oracle: not run" in out
 
 
+def test_analyze_huge_weights_need_no_oracle(capsys):
+    huge = ["--quota", str(2 * 10**12), "--weights", f"{10**12 - 1},{10**12},{10**12 + 1}"]
+    code, out, err = run_cli(capsys, "analyze", *huge)
+    assert code == 2 and out == ""
+    assert "--no-oracle" in err
+    code, out, _ = run_cli(capsys, "analyze", *huge, "--no-oracle", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tbp"] == [1, 1, 3]
+
+
 def test_analyze_from_input_file(tmp_path, capsys):
     payload = {"quota": 12, "weights": [4, 4, 4, 2, 2, 1], "names": list("FGIBNL")}
     path = tmp_path / "system.json"

@@ -6,10 +6,13 @@ checked against something none of them share code with.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banzhaf import (
     NoDecisiveVoterError,
@@ -25,6 +28,7 @@ from banzhaf import (
     tbp_oracle_dp,
     tbp_oracle_enum,
 )
+from banzhaf.power import MAX_DP_BYTES, _dp_swing_counts, _enum_swing_counts
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -126,6 +130,64 @@ def test_dp_oracle_beyond_dense_limit():
     # 30 unit-weight voters, majority rule: C(29, 14) swings each
     system = VotingSystem(15, (1,) * 30)
     assert tbp_oracle_dp(system, 1) == comb(29, 14)
+
+
+@st.composite
+def small_systems(draw):
+    weights = tuple(draw(st.lists(st.integers(0, 30), min_size=1, max_size=10)))
+    return draw(st.integers(1, sum(weights) + 2)), weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_dp_kernel_matches_enumeration(system):
+    quota, weights = system
+    assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
+
+
+def test_dp_kernel_edge_cases():
+    cases = [
+        (1, (0,) * 7 + (1,)),  # P[0] = 2**(n-1), the largest count a field holds
+        (1, (0,) * 15 + (1,)),
+        (1, (0,) * 6 + (1, 1)),
+        (2, (0,) * 6 + (1, 1)),
+        (5, (5, 7, 1, 2)),  # a weight >= q swings with every losing set of the others
+        (3, (9, 9, 9)),
+        (10, (1, 2, 3)),  # q > W: constant rule
+        (1, (4,)),  # n = 1
+        (5, (4,)),
+        (1, (0,)),
+        (3, (0, 0, 0)),  # all zero: gcd 0
+        (7, (6, 4, 2)),  # gcd 2, odd quota rounds up
+        (12, (10, 15, 5, 0)),
+    ]
+    for quota, weights in cases:
+        assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
+    assert _dp_swing_counts(1, (0,) * 30 + (1,)) == (0,) * 30 + (1 << 30,)
+
+
+def test_dp_kernel_refuses_huge_tables_without_allocating():
+    weights = tuple(10**12 + k for k in range(30))  # co-prime, so gcd 1
+    system = VotingSystem(sum(weights) // 2, weights)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_DP_BYTES"):
+            analyze(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_DP_BYTES // 64
+    small = VotingSystem(2 * 10**12, (10**12 - 1, 10**12, 10**12 + 1))
+    with pytest.raises(ValueError, match="verify=False"):
+        analyze(small)
+    assert analyze(small, verify=False).tbp == (1, 1, 3)
+
+
+def test_dp_route_reduces_by_the_gcd():
+    rng = random.Random(5005)
+    weights = tuple(rng.randint(1, 100) for _ in range(200))
+    system = VotingSystem(sum(weights) * 3 // 5, weights)
+    assert analyze(system.scaled(10**9)) == analyze(system)
 
 
 def test_oracle_triangle_on_random_systems():
@@ -280,6 +342,13 @@ def test_oracle_disagreement_is_raised(monkeypatch):
     monkeypatch.setattr(power_module, "_enum_swing_counts", lambda q, w: (99, 99))
     with pytest.raises(OracleDisagreementError):
         analyze(VotingSystem(2, (1, 1)))
+
+
+def test_structural_checks_are_cross_checked(monkeypatch):
+    monkeypatch.setattr(TruthTable, "is_monotone", lambda self: False)
+    with pytest.raises(OracleDisagreementError):
+        analyze(VotingSystem(2, (1, 1)))
+    assert analyze(VotingSystem(2, (1, 1)), verify=False).checks.monotone
 
 
 def test_power_report_is_immutable():
