@@ -16,6 +16,7 @@ library; the ``banzhaf`` command wraps it for the command line.
 
 from .power import (
     MAX_DP_BYTES,
+    MAX_ENUM_VOTERS,
     NoDecisiveVoterError,
     ORACLE_AUTO_LIMIT,
     OracleDisagreementError,
@@ -23,13 +24,13 @@ from .power import (
     StructuralChecks,
     analyze,
     normalize,
-    tbp,
     tbp_all,
     tbp_oracle_dp,
     tbp_oracle_enum,
 )
 from .sop import (
     Cube,
+    MAX_DISJOINT_CUBES,
     MAX_IE_CUBES,
     SopExpr,
     SopSyntaxError,
@@ -46,11 +47,13 @@ from .sop import (
 )
 from .symmetric import SymFn, parse_sym
 from .truthtable import N_MAX, TruthTable
-from .voting import SymmetryClasses, VotingSystem, check_scale_invariance
+from .voting import VotingSystem, check_scale_invariance
 
 __all__ = [
     "Cube",
+    "MAX_DISJOINT_CUBES",
     "MAX_DP_BYTES",
+    "MAX_ENUM_VOTERS",
     "MAX_IE_CUBES",
     "N_MAX",
     "NoDecisiveVoterError",
@@ -61,7 +64,6 @@ __all__ = [
     "SopSyntaxError",
     "StructuralChecks",
     "SymFn",
-    "SymmetryClasses",
     "TruthTable",
     "VotingSystem",
     "analyze",
@@ -77,7 +79,6 @@ __all__ = [
     "sop_weight_disjoint",
     "sop_weight_ie",
     "sop_weight_real",
-    "tbp",
     "tbp_all",
     "tbp_oracle_dp",
     "tbp_oracle_enum",

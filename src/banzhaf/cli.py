@@ -187,12 +187,19 @@ def _system_from_args(args: argparse.Namespace) -> VotingSystem:
         if args.quota is not None or args.weights is not None:
             raise ValueError("give either --input or --quota/--weights, not both")
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError("input document nests too deeply") from None
+        if not isinstance(doc, dict):
+            raise ValueError("input document must be a JSON object")
         quota = doc.get("quota")
         weights = doc.get("weights")
         names = doc.get("names")
         if not isinstance(quota, int) or not isinstance(weights, list):
             raise ValueError("input document needs integer 'quota' and array 'weights'")
+        if names is not None and not isinstance(names, list):
+            raise ValueError("input document's 'names' must be an array")
         return VotingSystem(quota, tuple(weights), tuple(names) if names else None)
     if args.quota is None or args.weights is None:
         raise ValueError("need --quota and --weights (or --input FILE)")

@@ -24,16 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
 from .truthtable import N_MAX, TruthTable
-from .voting import SymmetryClasses, VotingSystem
+from .voting import VotingSystem
 
 #: analyze() runs the oracle cross-check by default up to this arity.
 ORACLE_AUTO_LIMIT = 12
+
+#: Most voters the enumeration oracle takes: it walks all 2**n vote
+#: configurations, about 1 s and 55 MB at 20 voters, doubling per voter.
+MAX_ENUM_VOTERS = 20
 
 #: Largest packed subset-sum table, in bytes, that the subset-sum counter
 #: builds.  Its time and memory grow with this size, so inputs past it are
@@ -70,13 +73,14 @@ class PowerReport:
     """Full power analysis of one voting system.
 
     `ntbp` is empty when every voter is a dummy (constant rule); otherwise it
-    holds exact reduced fractions summing to 1.
+    holds exact reduced fractions summing to 1.  `classes` groups the 1-based
+    voter indices by equal swing count, ordered by first member.
     """
 
     tbp: tuple[int, ...]
     ntbp: tuple[Fraction, ...]
     dummies: frozenset[int]
-    classes: SymmetryClasses
+    classes: tuple[tuple[int, ...], ...]
     checks: StructuralChecks
     oracle_verified: bool
 
@@ -90,33 +94,35 @@ def _essential(raw: Sequence[int]) -> tuple[int, ...]:
     return tuple(c >> dummies for c in raw)
 
 
-def tbp(table: TruthTable, i: int) -> int:
-    """Swing count of voter ``i`` from the dense table of the rule.
-
-    Weight of the Boolean difference about ``X_i``, divided by ``2**d`` for
-    the ``d`` dummy variables among the others (see the module docstring).
-    """
-    if not 1 <= i <= table.n:
-        raise ValueError(f"variable index {i} out of range 1..{table.n}")
-    return tbp_all(table)[i - 1]
+def _groups(values: Sequence[object]) -> tuple[tuple[int, ...], ...]:
+    """1-based indices grouped by equal ``values[i - 1]``, ordered by first member."""
+    groups: dict[object, list[int]] = {}
+    for i, v in enumerate(values, 1):
+        groups.setdefault(v, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
 
 
-def tbp_all(table: TruthTable, classes: Optional[SymmetryClasses] = None) -> tuple[int, ...]:
+def tbp_all(
+    table: TruthTable, classes: Optional[Sequence[Sequence[int]]] = None
+) -> tuple[int, ...]:
     """Swing counts for all voters: Boolean-difference weights, one per class.
 
-    With a partition into interchangeable voters only class representatives
-    are differentiated and the weight is broadcast, which is exactly
-    equivalent to differentiating every variable.  Without one, every
-    variable is processed.  Weights are halved once per zero weight, i.e.
-    per dummy (see the module docstring).
+    With a partition of voters ``1..n`` into interchangeable groups only the
+    first member of each group is differentiated and the weight is broadcast,
+    which is exactly equivalent to differentiating every variable.  Without
+    one, every variable is processed.  Weights are halved once per zero
+    weight, i.e. per dummy (see the module docstring).  Raises ``ValueError``
+    when ``classes`` is not a partition: an empty group, an overlap, a gap or
+    an index out of range.
     """
-    groups = classes if classes is not None else [(i,) for i in range(1, table.n + 1)]
+    n = table.n
+    groups = [(i,) for i in range(1, n + 1)] if classes is None else classes
+    if not all(groups) or sorted(i for g in groups for i in g) != list(range(1, n + 1)):
+        raise ValueError(f"classes must partition voters 1..{n}, got {groups!r}")
     raw: dict[int, int] = {}
     for group in groups:
         raw.update(dict.fromkeys(group, table.difference_weight(group[0])))
-    if len(raw) != table.n:
-        raise ValueError("symmetry classes do not cover all voters")
-    return _essential([raw[i] for i in range(1, table.n + 1)])
+    return _essential([raw[i] for i in range(1, n + 1)])
 
 
 def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
@@ -158,26 +164,17 @@ def _enum_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _oracle_count(vector, system: VotingSystem, i: int) -> int:
-    """Voter ``i``'s entry of an oracle's count vector for ``system``."""
-    if not 1 <= i <= system.n:
-        raise ValueError(f"voter index {i} out of range 1..{system.n}")
-    return vector(system.quota, system.weights)[i - 1]
+def tbp_oracle_enum(system: VotingSystem) -> tuple[int, ...]:
+    """Independent swing counts of all voters by exhaustive enumeration.
 
-
-# The per-voter wrappers keep the last system's vector, one cache each, so a
-# loop over one system's voters runs each kernel once even when the loop
-# alternates between the two oracles.  analyze() calls the kernels directly.
-@lru_cache(maxsize=1)
-def _enum_vector(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
-    return _essential(_enum_swing_counts(quota, weights))
-
-
-def tbp_oracle_enum(system: VotingSystem, i: int) -> int:
-    """Independent swing count for voter ``i`` by exhaustive enumeration."""
-    if system.n > N_MAX:
-        raise ValueError(f"enumeration oracle limited to {N_MAX} voters, got {system.n}")
-    return _oracle_count(_enum_vector, system, i)
+    Raises ``ValueError`` beyond :data:`MAX_ENUM_VOTERS` voters.
+    """
+    if system.n > MAX_ENUM_VOTERS:
+        raise ValueError(
+            f"enumeration oracle limited to MAX_ENUM_VOTERS = {MAX_ENUM_VOTERS} voters, "
+            f"got {system.n}"
+        )
+    return _essential(_enum_swing_counts(system.quota, system.weights))
 
 
 # -- subset-sum oracle -----------------------------------------------------------
@@ -252,14 +249,9 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(by_weight[w] for w in weights)
 
 
-@lru_cache(maxsize=1)
-def _dp_vector(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
-    return _essential(_dp_swing_counts(quota, weights))
-
-
-def tbp_oracle_dp(system: VotingSystem, i: int) -> int:
-    """Independent swing count for voter ``i`` by subset-sum counting."""
-    return _oracle_count(_dp_vector, system, i)
+def tbp_oracle_dp(system: VotingSystem) -> tuple[int, ...]:
+    """Independent swing counts of all voters by subset-sum counting."""
+    return _essential(_dp_swing_counts(system.quota, system.weights))
 
 
 # -- full analysis ------------------------------------------------------------
@@ -279,27 +271,31 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way) the
     counts are cross-checked against both oracles, and the dummies, classes
     and findings against the table's vacuity, transposition, monotonicity
-    and causality tests and its weight.
+    and causality tests and its weight.  ``verify=True`` beyond
+    :data:`MAX_ENUM_VOTERS` voters raises ``ValueError`` at once.
     """
     n = system.n
     if verify is None:
         verify = n <= ORACLE_AUTO_LIMIT
-    if verify and n > N_MAX:
-        raise ValueError(f"cross-check needs a dense table, so at most {N_MAX} voters")
+    if verify and n > MAX_ENUM_VOTERS:
+        raise ValueError(
+            f"the cross-check enumerates all 2**n vote configurations, so at most "
+            f"MAX_ENUM_VOTERS = {MAX_ENUM_VOTERS} voters; pass verify=False for {n}"
+        )
     quota, weights, total = system.quota, system.weights, system.total_weight
     # non-negative weights can only help a bill, and the empty coalition loses
     checks = StructuralChecks(True, quota <= total, quota > total)
     if n > N_MAX:
-        tbp_vec = _essential(_dp_swing_counts(quota, weights))
+        tbp_vec = tbp_oracle_dp(system)
     else:
         table = system.to_table()
-        tbp_vec = tbp_all(table, SymmetryClasses.of_equal(weights))
+        tbp_vec = tbp_all(table, _groups(weights))
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
-    classes = SymmetryClasses.of_equal(tbp_vec)
+    classes = _groups(tbp_vec)
 
     if verify:
-        dp_vec = _essential(_dp_swing_counts(quota, weights))
-        enum_vec = _essential(_enum_swing_counts(quota, weights))
+        dp_vec = tbp_oracle_dp(system)
+        enum_vec = tbp_oracle_enum(system)
         lookup = {i: group for group in classes for i in group}
         voters = range(1, n + 1)
         if not (
@@ -317,7 +313,7 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
             raise OracleDisagreementError(
                 f"analysis of {system} fails its cross-check: derivative={tbp_vec} "
                 f"enumeration={enum_vec} subset-sum={dp_vec} dummies={sorted(dummies)} "
-                f"classes={classes.classes} checks={checks}"
+                f"classes={classes} checks={checks}"
             )
 
     ntbp = normalize(tbp_vec) if any(tbp_vec) else ()

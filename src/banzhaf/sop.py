@@ -30,6 +30,10 @@ from .truthtable import N_MAX, TruthTable
 #: Inclusion-exclusion enumerates all cube subsets; refuse anything bigger.
 MAX_IE_CUBES = 20
 
+#: Sequential disjointing can double the cube count with every input cube
+#: (``a0 a1 | a2 a3 | ..`` with m cubes gives 2**m - 1); refuse to hold more.
+MAX_DISJOINT_CUBES = 1 << 16
+
 
 class SopSyntaxError(ValueError):
     """Raised for malformed SOP text; `position` is a 0-based text offset."""
@@ -234,7 +238,8 @@ def make_disjoint(expr: SopExpr) -> SopExpr:
     Cube k is replaced by its products with the expanded complements of cubes
     1..k-1, in list order; no reordering heuristic is applied, so the output
     is deterministic.  Already-disjoint input (including any single cube) is
-    returned unchanged.
+    returned unchanged.  Raises ``ValueError`` as soon as the cubes produced
+    would exceed :data:`MAX_DISJOINT_CUBES`.
     """
     if expr.disjoint:
         return expr
@@ -245,6 +250,11 @@ def make_disjoint(expr: SopExpr) -> SopExpr:
             fragments = [piece for f in fragments for piece in _times_complement(f, blocker)]
             if not fragments:
                 break
+            if len(out) + len(fragments) > MAX_DISJOINT_CUBES:
+                raise ValueError(
+                    f"disjointing cube {k + 1} of {len(expr.cubes)} passes "
+                    f"MAX_DISJOINT_CUBES = {MAX_DISJOINT_CUBES} cubes"
+                )
         out.extend(fragments)
     return SopExpr(expr.n, tuple(out), disjoint=True)
 

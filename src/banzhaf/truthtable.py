@@ -129,6 +129,8 @@ class TruthTable:
         if not header.startswith("n="):
             raise ValueError("missing 'n=<k>' header")
         n = int(header[2:])
+        if not 0 <= n <= N_MAX:
+            raise ValueError(f"arity must be between 0 and {N_MAX}, got {n}")
         payload = "".join(body.split())
         if len(payload) != 1 << n:
             raise ValueError(f"expected {1 << n} bits, got {len(payload)}")

@@ -1,4 +1,4 @@
-"""Weighted yes-no voting systems and their structural analysis.
+"""Weighted yes-no voting systems and their dense truth tables.
 
 A system is a quota plus one non-negative integer weight per voter: a bill
 passes when the yes-voters' weights sum to the quota or beyond.  The rule is
@@ -13,7 +13,7 @@ the resulting constant-0 system as a finding rather than refusing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .truthtable import N_MAX, TruthTable
 
@@ -47,6 +47,9 @@ class VotingSystem:
                 raise ValueError(
                     f"{len(self.names)} names for {len(self.weights)} voters"
                 )
+            for name in self.names:
+                if not isinstance(name, str) or not name:
+                    raise ValueError(f"voter names must be non-empty strings, got {name!r}")
             if len(set(self.names)) != len(self.names):
                 raise ValueError("voter names must be distinct")
 
@@ -103,65 +106,6 @@ class VotingSystem:
             return got
 
         return TruthTable(n, build(1, self.quota))
-
-    # -- structural findings ---------------------------------------------------
-
-    def dummies(self) -> frozenset[int]:
-        """1-based indices of voters the outcome never depends on (zero swing count)."""
-        from .power import analyze  # power builds on this module
-
-        return analyze(self, verify=False).dummies
-
-    def symmetry_classes(self) -> "SymmetryClasses":
-        """Partition voters by interchangeability: the groups of equal swing counts."""
-        from .power import analyze
-
-        return analyze(self, verify=False).classes
-
-
-@dataclass(frozen=True)
-class SymmetryClasses:
-    """Partition of voter indices into interchangeability classes."""
-
-    classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "classes", tuple(tuple(sorted(g)) for g in self.classes)
-        )
-        seen: set[int] = set()
-        for group in self.classes:
-            if not group:
-                raise ValueError("empty symmetry class")
-            if seen & set(group):
-                raise ValueError("symmetry classes must be disjoint")
-            seen.update(group)
-        if seen and seen != set(range(1, max(seen) + 1)):
-            raise ValueError("symmetry classes must cover voters 1..n")
-
-    @classmethod
-    def of_equal(cls, values: Sequence[object]) -> "SymmetryClasses":
-        """Voters grouped by equal ``values[i - 1]``, ordered by first member."""
-        groups: dict[object, list[int]] = {}
-        for i, v in enumerate(values, 1):
-            groups.setdefault(v, []).append(i)
-        return cls(tuple(groups.values()))
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(group[0] for group in self.classes)
-
-    def class_of(self, i: int) -> tuple[int, ...]:
-        for group in self.classes:
-            if i in group:
-                return group
-        raise ValueError(f"voter {i} not covered by the partition")
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 def check_scale_invariance(system: VotingSystem, c: int) -> bool:

@@ -99,6 +99,23 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_malformed_input_documents(tmp_path, capsys):
+    base = {"quota": 2, "weights": [1, 1, 1]}
+    for text, message in [
+        (json.dumps([2, [1, 1, 1]]), "JSON object"),
+        ("[" * 100_000 + "]" * 100_000, "nests too deeply"),
+        (json.dumps({**base, "names": 5}), "'names' must be an array"),
+        (json.dumps({**base, "names": "abc"}), "'names' must be an array"),
+        (json.dumps({**base, "names": [1, 2, 3]}), "non-empty strings"),
+        (json.dumps({**base, "names": ["A", "", "C"]}), "non-empty strings"),
+    ]:
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def test_analyze_output_is_deterministic(capsys):
     outputs = set()
     for _ in range(3):
@@ -146,6 +163,13 @@ def test_weight_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "weight", "X1 X1'")
     assert code == 2
     assert "contradictory" in err
+
+
+def test_weight_disjoint_cube_cap(capsys):
+    chain = " | ".join(f"a{2 * k} a{2 * k + 1}" for k in range(17))
+    code, out, err = run_cli(capsys, "weight", chain, "--method", "disjoint")
+    assert code == 2 and out == ""
+    assert "MAX_DISJOINT_CUBES" in err
 
 
 def test_weight_method_disagreement_exit_code(capsys, monkeypatch):

@@ -23,12 +23,16 @@ from banzhaf import (
     VotingSystem,
     analyze,
     normalize,
-    tbp,
     tbp_all,
     tbp_oracle_dp,
     tbp_oracle_enum,
 )
-from banzhaf.power import MAX_DP_BYTES, _dp_swing_counts, _enum_swing_counts
+from banzhaf.power import (
+    MAX_DP_BYTES,
+    MAX_ENUM_VOTERS,
+    _dp_swing_counts,
+    _enum_swing_counts,
+)
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -52,36 +56,46 @@ def ref_swings(system):
 
 
 def test_tbp_matches_published_council_values():
-    table = EEC.to_table()
-    assert tbp(table, 1) == 5
-    assert tbp(table, 4) == 3
-    assert tbp(table, 6) == 0
+    assert tbp_all(EEC.to_table()) == (5, 5, 5, 3, 3, 0)
 
 
 def test_tbp_of_constant_table_is_zero():
     for value in (0, 1):
-        table = TruthTable.constant(4, value)
-        assert all(tbp(table, i) == 0 for i in range(1, 5))
+        assert tbp_all(TruthTable.constant(4, value)) == (0, 0, 0, 0)
 
 
 def test_tbp_counts_swings_once_per_essential_scenario():
     # one dummy doubles every raw derivative weight; reported counts collapse that
     table = EEC.to_table()
     assert table.boolean_difference(1).weight() == 10  # L free on both sides
-    assert tbp(table, 1) == 5
+    assert tbp_all(table)[0] == 5
 
 
 def test_tbp_all_with_and_without_classes():
     table = EEC.to_table()
     expected = (5, 5, 5, 3, 3, 0)
     assert tbp_all(table) == expected
-    assert tbp_all(table, EEC.symmetry_classes()) == expected
+    assert tbp_all(table, analyze(EEC, verify=False).classes) == expected
+    assert tbp_all(table, [[3, 1, 2], [5, 4], [6]]) == expected  # any sequence of groups
 
 
 def test_tbp_all_eeec():
-    assert tbp_all(EEEC.to_table(), EEEC.symmetry_classes()) == (
+    assert tbp_all(EEEC.to_table(), analyze(EEEC, verify=False).classes) == (
         53, 53, 53, 53, 29, 29, 21, 21, 5,
     )
+
+
+def test_tbp_all_rejects_classes_that_are_not_a_partition():
+    table = VotingSystem(2, (1, 1, 1)).to_table()
+    for bad in [
+        ((1, 2), (2, 3)),  # overlap
+        ((1,), (3,)),  # gap
+        ((1, 2), (3, 4)),  # out of range
+        ((), (1, 2, 3)),  # empty group
+        ((),),
+    ]:
+        with pytest.raises(ValueError, match="partition"):
+            tbp_all(table, bad)
 
 
 def test_tbp_all_symmetric_rule():
@@ -105,31 +119,28 @@ def test_normalize_rejects_all_zero():
 
 
 def test_enum_oracle_values():
-    assert tbp_oracle_enum(EEC, 1) == 5
-    assert tbp_oracle_enum(EEC, 6) == 0
-    assert tbp_oracle_enum(EEEC, 9) == 5
-    with pytest.raises(ValueError):
-        tbp_oracle_enum(EEC, 7)
+    assert tbp_oracle_enum(EEC) == (5, 5, 5, 3, 3, 0)
+    assert tbp_oracle_enum(EEEC) == (53, 53, 53, 53, 29, 29, 21, 21, 5)
+    with pytest.raises(ValueError, match="MAX_ENUM_VOTERS"):
+        tbp_oracle_enum(VotingSystem(11, (1,) * (MAX_ENUM_VOTERS + 1)))
 
 
 def test_enum_oracle_k_out_of_n_closed_form():
     for n in range(1, 9):
         for k in range(1, n + 1):
-            system = VotingSystem(k, (1,) * n)
-            for i in range(1, n + 1):
-                assert tbp_oracle_enum(system, i) == comb(n - 1, k - 1)
+            assert tbp_oracle_enum(VotingSystem(k, (1,) * n)) == (comb(n - 1, k - 1),) * n
 
 
 def test_dp_oracle_values():
-    assert tbp_oracle_dp(EEC, 4) == 3
-    assert tbp_oracle_dp(EEEC, 7) == 21
-    assert tbp_oracle_dp(VotingSystem(3, (2, 0, 2)), 2) == 0  # weight-0 voter
+    assert tbp_oracle_dp(EEC) == (5, 5, 5, 3, 3, 0)
+    assert tbp_oracle_dp(EEEC) == (53, 53, 53, 53, 29, 29, 21, 21, 5)
+    assert tbp_oracle_dp(VotingSystem(3, (2, 0, 2))) == (1, 0, 1)  # weight-0 voter
 
 
 def test_dp_oracle_beyond_dense_limit():
     # 30 unit-weight voters, majority rule: C(29, 14) swings each
     system = VotingSystem(15, (1,) * 30)
-    assert tbp_oracle_dp(system, 1) == comb(29, 14)
+    assert tbp_oracle_dp(system) == (comb(29, 14),) * 30
 
 
 @st.composite
@@ -196,12 +207,10 @@ def test_oracle_triangle_on_random_systems():
         n = rng.randint(1, 9)
         weights = tuple(rng.randint(0, 12) for _ in range(n))
         system = VotingSystem(rng.randint(1, sum(weights) + 2), weights)
-        table = system.to_table()
         expected = ref_swings(system)
-        for i in range(1, n + 1):
-            assert tbp(table, i) == expected[i - 1]
-            assert tbp_oracle_enum(system, i) == expected[i - 1]
-            assert tbp_oracle_dp(system, i) == expected[i - 1]
+        assert tbp_all(system.to_table()) == expected
+        assert tbp_oracle_enum(system) == expected
+        assert tbp_oracle_dp(system) == expected
 
 
 def test_analyze_eec_report():
@@ -212,7 +221,7 @@ def test_analyze_eec_report():
         Fraction(3, 21), Fraction(3, 21), Fraction(0),
     )
     assert report.dummies == frozenset({6})
-    assert report.classes.classes == ((1, 2, 3), (4, 5), (6,))
+    assert report.classes == ((1, 2, 3), (4, 5), (6,))
     assert report.checks.monotone and report.checks.causal and not report.checks.constant
     assert report.oracle_verified
 
@@ -222,7 +231,7 @@ def test_analyze_eeec_report():
     assert report.tbp == (53, 53, 53, 53, 29, 29, 21, 21, 5)
     assert {f.denominator for f in report.ntbp} == {317}
     assert report.dummies == frozenset()
-    assert report.classes.classes == ((1, 2, 3, 4), (5, 6), (7, 8), (9,))
+    assert report.classes == ((1, 2, 3, 4), (5, 6), (7, 8), (9,))
     assert report.oracle_verified
 
 
@@ -248,6 +257,19 @@ def test_analyze_verify_flag():
     big = VotingSystem(8, (1,) * 14)
     assert analyze(big).oracle_verified is False
     assert analyze(big, verify=True).oracle_verified is True
+
+
+def test_analyze_refuses_verify_past_the_enumeration_limit():
+    system = VotingSystem(11, (1,) * (MAX_ENUM_VOTERS + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="verify=False"):
+            analyze(system, verify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before any table or enumeration is built
+    assert analyze(system, verify=False).tbp == (comb(MAX_ENUM_VOTERS, 10),) * 21
 
 
 def test_analyze_scale_invariant_reports():
@@ -294,7 +316,7 @@ def test_analyze_beyond_dense_limit_uses_subset_sums():
     assert report.tbp[:29] == (comb(28, 14),) * 29
     assert report.tbp[29] == 0
     assert report.checks.monotone and report.checks.causal and not report.checks.constant
-    assert report.classes.classes == (tuple(range(1, 30)), (30,))
+    assert report.classes == (tuple(range(1, 30)), (30,))
     with pytest.raises(ValueError):
         analyze(system, verify=True)
 
@@ -304,10 +326,10 @@ def test_analyze_classes_by_count_on_both_routes():
     # and subset-sum route alike
     for blocs in (12, 24):
         report = analyze(VotingSystem(blocs + 1, (2,) * blocs + (1,)))
-        assert report.classes.classes == (tuple(range(1, blocs + 2)),)
+        assert report.classes == (tuple(range(1, blocs + 2)),)
     # the 28 small voters never swing: one class of blocs, one of dummies
     report = analyze(VotingSystem(1000, (500, 500) + tuple(range(1, 29))))
-    assert report.classes.classes == ((1, 2), tuple(range(3, 31)))
+    assert report.classes == ((1, 2), tuple(range(3, 31)))
     assert report.dummies == frozenset(range(3, 31))
 
 

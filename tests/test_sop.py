@@ -7,6 +7,7 @@ import pytest
 
 from banzhaf import (
     Cube,
+    MAX_DISJOINT_CUBES,
     SopExpr,
     SopSyntaxError,
     TruthTable,
@@ -167,6 +168,19 @@ def test_make_disjoint_preserves_semantics():
         got = make_disjoint(expr)
         assert got.disjoint and got.verify_disjoint()
         assert sop_to_tt(got) == sop_to_tt(expr)
+
+
+def chain_sop(m):
+    """``a0 a1 | a2 a3 | ..`` with m cubes: disjointing gives 2**m - 1 cubes."""
+    return " | ".join(f"a{2 * k} a{2 * k + 1}" for k in range(m))
+
+
+def test_make_disjoint_cube_cap():
+    names = [f"a{k}" for k in range(34)]
+    assert len(make_disjoint(parse_sop(chain_sop(8), names[:16])).cubes) == 255
+    assert 2**16 - 1 <= MAX_DISJOINT_CUBES < 2**17 - 1
+    with pytest.raises(ValueError, match="MAX_DISJOINT_CUBES"):
+        make_disjoint(parse_sop(chain_sop(17), names))
 
 
 def test_make_disjoint_on_six_variable_system_matches_table_weight():

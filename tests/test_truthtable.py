@@ -70,6 +70,9 @@ def test_serialization_round_trip():
         TruthTable.from_text("n=3\n0001011\n")
     with pytest.raises(ValueError):
         TruthTable.from_text("n=1\n0x\n")
+    for n in (-1, 25, 10**12):  # refused before 1 << n is computed
+        with pytest.raises(ValueError, match="arity"):
+            TruthTable.from_text(f"n={n}\n0\n")
 
 
 def test_restrict_two_of_three_leaves_one_of_two():

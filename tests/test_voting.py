@@ -11,9 +11,9 @@ import pytest
 
 from banzhaf import (
     SymFn,
-    SymmetryClasses,
     TruthTable,
     VotingSystem,
+    analyze,
     check_scale_invariance,
     parse_sop,
     sop_to_tt,
@@ -38,6 +38,9 @@ def test_system_validation():
         VotingSystem(2, (1, 1), ("A",))
     with pytest.raises(ValueError):
         VotingSystem(2, (1, 1), ("A", "A"))
+    for names in [(1, 2), ("A", ""), ("A", None)]:
+        with pytest.raises(ValueError, match="non-empty strings"):
+            VotingSystem(2, (1, 1), names)
 
 
 def test_bool_is_not_a_quota_or_weight():
@@ -136,36 +139,36 @@ def test_eeec_disjoint_composite_form():
 
 
 def test_dummies_eec_eeec():
-    assert EEC.dummies() == frozenset({6})
-    assert EEEC.dummies() == frozenset()
+    assert analyze(EEC, verify=False).dummies == frozenset({6})
+    assert analyze(EEEC, verify=False).dummies == frozenset()
 
 
 def test_dummies_equal_weight_majority():
-    assert VotingSystem(5, (3, 3, 3)).dummies() == frozenset()
+    assert analyze(VotingSystem(5, (3, 3, 3)), verify=False).dummies == frozenset()
     table = VotingSystem(5, (3, 3, 3)).to_table()
     assert all(not table.is_vacuous_in(i) for i in (1, 2, 3))
 
 
 def test_zero_weight_voter_is_dummy_but_not_conversely():
-    assert 3 in VotingSystem(1, (1, 1, 0)).dummies()
+    assert 3 in analyze(VotingSystem(1, (1, 1, 0)), verify=False).dummies
     # the weight-1 voter here is a dummy despite a positive weight
-    assert EEC.dummies() == frozenset({6})
+    assert analyze(EEC, verify=False).dummies == frozenset({6})
     assert EEC.weights[5] == 1
 
 
 def test_symmetry_classes_eec_eeec():
-    assert EEC.symmetry_classes().classes == ((1, 2, 3), (4, 5), (6,))
-    assert EEEC.symmetry_classes().classes == ((1, 2, 3, 4), (5, 6), (7, 8), (9,))
+    assert analyze(EEC, verify=False).classes == ((1, 2, 3), (4, 5), (6,))
+    assert analyze(EEEC, verify=False).classes == ((1, 2, 3, 4), (5, 6), (7, 8), (9,))
 
 
 def test_symmetry_classes_functional_partition():
     # frozen from an exhaustive 16-row transposition check
-    assert VotingSystem(4, (3, 2, 2, 1)).symmetry_classes().classes == ((1,), (2, 3), (4,))
+    assert analyze(VotingSystem(4, (3, 2, 2, 1)), verify=False).classes == ((1,), (2, 3), (4,))
 
 
 def test_symmetry_classes_catch_unequal_weights():
     # weights 5 and 4 differ, yet the voters are interchangeable
-    assert VotingSystem(10, (6, 5, 4)).symmetry_classes().classes == ((1,), (2, 3))
+    assert analyze(VotingSystem(10, (6, 5, 4)), verify=False).classes == ((1,), (2, 3))
 
 
 def test_symmetry_classes_agree_with_pairwise_transpositions():
@@ -175,20 +178,11 @@ def test_symmetry_classes_agree_with_pairwise_transpositions():
         weights = tuple(rng.randint(0, 6) for _ in range(n))
         system = VotingSystem(rng.randint(1, sum(weights) + 2), weights)
         table = system.to_table()
-        classes = system.symmetry_classes()
+        classes = analyze(system, verify=False).classes
         lookup = {i: group for group in classes for i in group}
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert (lookup[i] is lookup[j]) == table.is_symmetric_in(i, j)
-
-
-def test_symmetry_classes_partition_validation():
-    with pytest.raises(ValueError):
-        SymmetryClasses(((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
-        SymmetryClasses(((1,), (3,)))
-    with pytest.raises(ValueError):
-        SymmetryClasses(((),))
 
 
 def test_scale_invariance():
