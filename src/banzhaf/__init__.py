@@ -16,6 +16,7 @@ library; the ``banzhaf`` command wraps it for the command line.
 
 from .power import (
     MAX_DP_BYTES,
+    MAX_DP_WORK,
     MAX_ENUM_VOTERS,
     NoDecisiveVoterError,
     ORACLE_AUTO_LIMIT,
@@ -53,6 +54,7 @@ __all__ = [
     "Cube",
     "MAX_DISJOINT_CUBES",
     "MAX_DP_BYTES",
+    "MAX_DP_WORK",
     "MAX_ENUM_VOTERS",
     "MAX_IE_CUBES",
     "N_MAX",

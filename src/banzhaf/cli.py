@@ -273,11 +273,6 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown voter {args.voter!r}")
     target = names.index(args.voter) + 1
 
-    if table.is_vacuous_in(target):
-        print(f"voter {args.voter}: weight 0")
-        print("0")
-        return EXIT_OK
-
     # Work in the essential subsystem: drop voters the rule never depends on.
     kept = [i for i in range(1, table.n + 1) if i == target or not table.is_vacuous_in(i)]
     for i in range(table.n, 0, -1):
@@ -288,8 +283,9 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
 
     difference = table.boolean_difference(position)
     remaining = [nm for k, nm in enumerate(kept_names, 1) if k != position]
+    minterms = format_sop(tt_to_minterm_sop(difference), remaining)
     print(f"voter {args.voter}: weight {difference.weight()}")
-    print(format_sop(tt_to_minterm_sop(difference), remaining))
+    print(minterms)
     return EXIT_OK
 
 

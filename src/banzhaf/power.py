@@ -43,6 +43,10 @@ MAX_ENUM_VOTERS = 20
 #: refused with ``ValueError`` rather than left to run out of memory.
 MAX_DP_BYTES = 1 << 25
 
+#: Most byte operations the subset-sum counter spends, one pass over its table
+#: per voter lighter than the quota: about 2 s at 1e9 operations per second.
+MAX_DP_WORK = 1 << 31
+
 
 class OracleDisagreementError(RuntimeError):
     """The analysis and an independent recomputation disagree.
@@ -199,7 +203,7 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes plus
     O(sum over distinct weights of q / w) small steps, after the gcd
     reduction, and allocates nothing proportional to the total weight.
-    Raises ``ValueError`` when that table would exceed :data:`MAX_DP_BYTES`.
+    Raises ``ValueError`` past :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.
     """
     n = len(weights)
     if quota > sum(weights):  # nobody wins, so nobody swings (all-zero weights too)
@@ -207,7 +211,8 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*weights)
     q = -(-quota // g)
     nbytes = n // 8 + 1
-    if q * nbytes > MAX_DP_BYTES:
+    work = sum(1 for w in weights if w // g < q) * q * nbytes
+    if q * nbytes > MAX_DP_BYTES or work > MAX_DP_WORK:
         hint = (
             "; the dense route needs no such table, so pass verify=False "
             "(--no-oracle on the command line)"
@@ -215,8 +220,8 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
             else ""
         )
         raise ValueError(
-            f"subset-sum table of {q} sums x {nbytes} bytes exceeds "
-            f"MAX_DP_BYTES = {MAX_DP_BYTES}{hint}"
+            f"subset-sum table of {q} sums x {nbytes} bytes, {work} byte operations to "
+            f"fill, exceeds MAX_DP_BYTES = {MAX_DP_BYTES} or MAX_DP_WORK = {MAX_DP_WORK}{hint}"
         )
     bits = 8 * nbytes
     mask = (1 << q * bits) - 1

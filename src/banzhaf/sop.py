@@ -31,7 +31,8 @@ from .truthtable import N_MAX, TruthTable
 MAX_IE_CUBES = 20
 
 #: Sequential disjointing can double the cube count with every input cube
-#: (``a0 a1 | a2 a3 | ..`` with m cubes gives 2**m - 1); refuse to hold more.
+#: (``a0 a1 | a2 a3 | ..`` with m cubes gives 2**m - 1), and a minterm form
+#: has one cube per true row; refuse to hold more.
 MAX_DISJOINT_CUBES = 1 << 16
 
 
@@ -348,9 +349,13 @@ def tt_to_minterm_sop(table: TruthTable) -> SopExpr:
     """Minterm canonical form: one full-length cube per true row.
 
     Disjoint by construction, so the certificate is set without the pairwise
-    check.
+    check.  Raises ``ValueError`` past :data:`MAX_DISJOINT_CUBES` true rows.
     """
     n = table.n
+    if table.weight() > MAX_DISJOINT_CUBES:
+        raise ValueError(
+            f"{table.weight()} minterms pass MAX_DISJOINT_CUBES = {MAX_DISJOINT_CUBES}"
+        )
     cubes = []
     bits = table.bits
     while bits:

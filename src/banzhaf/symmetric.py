@@ -137,23 +137,14 @@ class SymFn:
             raise ValueError(f"arity {n_total} exceeds dense-table limit {N_MAX}")
 
         placed = set(placement)
-        memo: dict[tuple[int, int], int] = {}
-
-        def build(v: int, count: int) -> int:
-            # table bits over variables X_v..X_{n_total}, `count` ones so far
-            if v > n_total:
-                return 1 if count in self.charset else 0
-            key = (v, count)
-            got = memo.get(key)
-            if got is None:
-                half = 1 << (n_total - v)
-                low = build(v + 1, count)
-                high = build(v + 1, count + 1) if v in placed else low
-                got = (high << half) | low
-                memo[key] = got
-            return got
-
-        return TruthTable(n_total, build(1, 0))
+        # tables[c]: the table over the variables not yet split, given c ones
+        # among the placed variables before them; a placed variable reads the
+        # tables of c + 1 ones where it is 1, and each one shortens the list
+        tables = [int(c in self.charset) for c in range(self.n + 1)]
+        for v in range(n_total, 0, -1):
+            half, step = 1 << (n_total - v), int(v in placed)
+            tables = [(tables[c + step] << half) | tables[c] for c in range(len(tables) - step)]
+        return TruthTable(n_total, tables[0])
 
     # -- textual form ----------------------------------------------------------
 

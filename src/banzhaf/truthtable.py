@@ -228,13 +228,8 @@ class TruthTable:
 
     def is_monotone(self) -> bool:
         """True iff raising any input from 0 to 1 never lowers the output."""
-        for pos in range(self.n):
-            mask = _var_zero_mask(pos, self.n)
-            low = self.bits & mask
-            high = (self.bits >> (1 << pos)) & mask
-            if low & (high ^ mask):
-                return False
-        return True
+        # a true X_i = 0 row where the fold has a one steps down at X_i = 1
+        return not any(self.bits & self._fold(i) for i in range(1, self.n + 1))
 
     def is_causal(self) -> bool:
         """True iff the all-0 row maps to 0 and the all-1 row maps to 1."""

@@ -33,6 +33,8 @@ class VotingSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
+        if isinstance(self.names, str):
+            raise ValueError(f"voter names must be a sequence of strings, got {self.names!r}")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
         if not _is_int(self.quota) or self.quota < 1:
@@ -79,33 +81,28 @@ class VotingSystem:
     def to_table(self) -> TruthTable:
         """Dense truth table: bit j is 1 iff row j's yes-weights reach the quota.
 
-        Built by splitting on voters in order and memoizing on the residual
-        quota, so the cost is bounded by ``n * total_weight`` big-int
-        concatenations rather than a loop over all rows.
+        Built one level of the rule's decision diagram at a time, from the last
+        voter up, on the quota each voter still needs to meet, so the cost is
+        bounded by ``n * total_weight`` big-int concatenations, not a row loop.
         """
         if self.n > N_MAX:
             raise ValueError(f"arity {self.n} exceeds dense-table limit {N_MAX}")
-        weights = self.weights
-        n = self.n
-        remaining = [0] * (n + 2)
-        for i in range(n, 0, -1):
-            remaining[i] = remaining[i + 1] + weights[i - 1]
-        memo: dict[tuple[int, int], int] = {}
-
-        def build(i: int, need: int) -> int:
-            if need <= 0:
-                return (1 << (1 << (n - i + 1))) - 1
-            if need > remaining[i]:
-                return 0
-            key = (i, need)
-            got = memo.get(key)
-            if got is None:
-                half = 1 << (n - i)
-                got = (build(i + 1, need - weights[i - 1]) << half) | build(i + 1, need)
-                memo[key] = got
-            return got
-
-        return TruthTable(n, build(1, self.quota))
+        n, weights, rest = self.n, self.weights, self.total_weight
+        # levels[i]: the needs open at voter i + 1, 0 < need <= weight from there on
+        levels = [{self.quota} if self.quota <= rest else set()]
+        for w in weights[:-1]:
+            rest -= w
+            levels.append({m for need in levels[-1] for m in (need, need - w) if 0 < m <= rest})
+        tables: dict[int, int] = {}  # need -> table of the later voters; absent reads 0
+        for i in range(n - 1, -1, -1):
+            half, w = 1 << (n - 1 - i), weights[i]
+            ones = (1 << half) - 1
+            tables = {
+                need: ((ones if need <= w else tables.get(need - w, 0)) << half)
+                | tables.get(need, 0)
+                for need in levels.pop()
+            }
+        return TruthTable(n, tables.get(self.quota, 0))
 
 
 def check_scale_invariance(system: VotingSystem, c: int) -> bool:

@@ -204,6 +204,23 @@ def test_derivative_of_expression(capsys):
     assert out.splitlines()[1] == "X2' X3 | X2 X3'"  # minterms in row order
 
 
+def test_derivative_minterm_cap(capsys):
+    # 21 voters, quota 11: the difference has C(20, 10) = 184756 true rows
+    code, out, err = run_cli(
+        capsys, "derivative", "--quota", "11", "--weights", ",".join(["1"] * 21),
+        "--voter", "X1",
+    )
+    assert code == 2 and out == ""
+    assert "MAX_DISJOINT_CUBES" in err
+
+
+def test_analyze_subset_sum_work_cap(capsys):
+    weights = ",".join(["3", "7"] * 5000)
+    code, out, err = run_cli(capsys, "analyze", "--quota", "25001", "--weights", weights)
+    assert code == 2 and out == ""
+    assert "MAX_DP_WORK" in err
+
+
 def test_derivative_unknown_voter(capsys):
     code, _, err = run_cli(capsys, "derivative", *EEC_ARGS, "--voter", "Z")
     assert code == 2

@@ -6,6 +6,7 @@ checked against something none of them share code with.
 """
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -29,6 +30,7 @@ from banzhaf import (
 )
 from banzhaf.power import (
     MAX_DP_BYTES,
+    MAX_DP_WORK,
     MAX_ENUM_VOTERS,
     _dp_swing_counts,
     _enum_swing_counts,
@@ -192,6 +194,32 @@ def test_dp_kernel_refuses_huge_tables_without_allocating():
     with pytest.raises(ValueError, match="verify=False"):
         analyze(small)
     assert analyze(small, verify=False).tbp == (1, 1, 3)
+
+
+def test_dp_kernel_refuses_too_much_work(monkeypatch):
+    import banzhaf.power as power_module
+
+    # gcd 2: quota 4, and the voters of weight 1, 2, 1 (not 4) each pass over
+    # 4 sums x 1 byte, so the work is 3 x 4 x 1 = 12
+    system = VotingSystem(7, (2, 4, 8, 2))
+    monkeypatch.setattr(power_module, "MAX_DP_WORK", 12)
+    assert tbp_oracle_dp(system) == ref_swings(system)
+    monkeypatch.setattr(power_module, "MAX_DP_WORK", 11)
+    with pytest.raises(ValueError, match="MAX_DP_WORK"):
+        tbp_oracle_dp(system)
+    with pytest.raises(ValueError, match="verify=False"):
+        analyze(system)
+    assert analyze(system, verify=False).tbp == ref_swings(system)
+
+
+def test_dp_work_cap_refuses_at_once():
+    # a legal table (31 MB) that would take minutes to fill
+    weights = (3, 7) * 5000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_DP_WORK"):
+        analyze(VotingSystem(sum(weights) // 2 + 1, weights))
+    assert time.perf_counter() - start < 1.0
+    assert MAX_DP_WORK == 1 << 31
 
 
 def test_dp_route_reduces_by_the_gcd():

@@ -285,6 +285,17 @@ def test_minterm_round_trip():
         assert sop_to_tt(tt_to_minterm_sop(table)) == table
 
 
+def test_minterm_form_cube_cap(monkeypatch):
+    import banzhaf.sop as sop_module
+
+    with pytest.raises(ValueError, match="MAX_DISJOINT_CUBES"):
+        tt_to_minterm_sop(TruthTable.constant(17, 1))  # 2**17 true rows
+    monkeypatch.setattr(sop_module, "MAX_DISJOINT_CUBES", 4)
+    assert len(tt_to_minterm_sop(TruthTable.from_rows([0, 1, 1, 1, 0, 1, 0, 0])).cubes) == 4
+    with pytest.raises(ValueError, match="5 minterms"):
+        tt_to_minterm_sop(TruthTable.from_rows([0, 1, 1, 1, 0, 1, 0, 1]))
+
+
 def test_sum_rule_for_disjoint_functions():
     rng = random.Random(2004)
     for _ in range(100):

@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banzhaf import SymFn, TruthTable, parse_sop, parse_sym, sop_to_tt
 
@@ -156,20 +158,27 @@ def test_placement_realizes_embedded_functions():
     assert SymFn(2, {0, 1, 2}).to_table(placement=(2, 5), n_total=6) == TruthTable.constant(6, 1)
 
 
-def test_placement_value_depends_only_on_placed_count():
-    rng = random.Random(3007)
-    for _ in range(50):
-        n_total = rng.randint(2, 9)
-        k = rng.randint(1, n_total)
-        placement = tuple(sorted(rng.sample(range(1, n_total + 1), k)))
-        f = SymFn(k, _charset(rng, k))
-        table = f.to_table(placement=placement, n_total=n_total)
-        for j in range(1 << n_total):
-            ones = sum((j >> (n_total - i)) & 1 for i in placement)
-            assert table.row(j) == (1 if ones in f.charset else 0)
-        for i in range(1, n_total + 1):
-            if i not in placement:
-                assert table.is_vacuous_in(i)
+@st.composite
+def placed_functions(draw):
+    n_total = draw(st.integers(0, 10))
+    placement = draw(st.permutations(range(1, n_total + 1)))
+    placement = placement[: draw(st.integers(0, n_total))]
+    charset = draw(st.sets(st.integers(0, len(placement))))
+    return SymFn(len(placement), charset), tuple(placement), n_total
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed_functions())
+def test_placement_value_depends_only_on_placed_count(case):
+    f, placement, n_total = case
+    table = f.to_table(placement, n_total)
+    assert table.n == n_total
+    for j in range(1 << n_total):
+        ones = sum((j >> (n_total - i)) & 1 for i in placement)
+        assert table.row(j) == (1 if ones in f.charset else 0)
+    for i in range(1, n_total + 1):
+        if i not in placement:
+            assert table.is_vacuous_in(i)
 
 
 def test_placement_validation():

@@ -203,6 +203,34 @@ def test_structure_predicates():
     assert not (TruthTable.variable(2, 1) ^ TruthTable.variable(2, 2)).is_monotone()
 
 
+def ref_is_monotone(table):
+    """Definition: no row and no variable where raising X_i from 0 to 1 lowers f."""
+    n = table.n
+    return all(
+        table.row(j) <= table.row(j | 1 << (n - i))
+        for j in range(1 << n)
+        for i in range(1, n + 1)
+    )
+
+
+def upward_closure(table):
+    """The least monotone function above `table`: f'(j) = OR of f over subsets of j."""
+    rows = range(1 << table.n)
+    return TruthTable.from_rows(
+        [int(any(table.row(k) for k in rows if k & j == k)) for j in rows]
+    )
+
+
+def test_is_monotone_matches_its_definition():
+    rng = random.Random(1006)
+    tables = [random_table(rng, rng.randint(0, 6)) for _ in range(300)]
+    tables += [upward_closure(t) for t in tables[:100]]
+    verdicts = [t.is_monotone() for t in tables]
+    assert verdicts == [ref_is_monotone(t) for t in tables]
+    assert all(verdicts[300:])
+    assert verdicts[:300].count(False) > 150  # most random tables step down somewhere
+
+
 def test_threshold_tables_are_monotone_and_causal():
     rng = random.Random(1005)
     for _ in range(50):

@@ -5,9 +5,13 @@ exercised heavily because they have published minimal forms and symmetric
 decompositions that pin down every operation here.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banzhaf import (
     SymFn,
@@ -41,6 +45,9 @@ def test_system_validation():
     for names in [(1, 2), ("A", ""), ("A", None)]:
         with pytest.raises(ValueError, match="non-empty strings"):
             VotingSystem(2, (1, 1), names)
+    for names in ["abc", "A"]:  # a string is not split into one-letter names
+        with pytest.raises(ValueError, match="sequence of strings"):
+            VotingSystem(2, (1,) * len(names), names)
 
 
 def test_bool_is_not_a_quota_or_weight():
@@ -69,6 +76,43 @@ def test_threshold_table_matches_direct_evaluation():
         for j in range(1 << n):
             total = sum(weights[i] for i in range(n) if (j >> (n - 1 - i)) & 1)
             assert table.row(j) == (1 if total >= quota else 0)
+
+
+@st.composite
+def systems(draw):
+    weights = tuple(draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=10)))
+    return VotingSystem(draw(st.integers(1, sum(weights) + 2)), weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_threshold_table_matches_direct_evaluation_with_large_weights(system):
+    # large weights make most partial sums distinct, so few needs are shared
+    n, weights, quota = system.n, system.weights, system.quota
+    table = system.to_table()
+    for j in range(1 << n):
+        total = sum(weights[i] for i in range(n) if (j >> (n - 1 - i)) & 1)
+        assert table.row(j) == (1 if total >= quota else 0)
+
+
+def test_to_table_keeps_nothing_alive():
+    rng = random.Random(4004)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        weights = tuple(rng.sample(range(1, 1001), 20))
+        table = VotingSystem(sum(weights) // 2 + 1, weights).to_table()
+        del table
+        left = tracemalloc.get_traced_memory()[0]
+        weights = tuple(rng.sample(range(1, 1001), 24))
+        tracemalloc.reset_peak()
+        table = VotingSystem(sum(weights) // 2 + 1, weights).to_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024
+    # the table itself is 2 MiB; one level of partial tables at a time
+    assert peak < 16 * 1024 * 1024
 
 
 def test_unanimity_and_single_vote_rules():
