@@ -23,15 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .power import (
-    NoDecisiveVoterError,
-    OracleDisagreementError,
-    PowerReport,
-    analyze,
-)
+from .power import OracleDisagreementError, PowerReport, analyze
 from .sop import (
     SopExpr,
-    SopSyntaxError,
     make_disjoint,
     parse_sop,
     sop_names,
@@ -343,8 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OracleDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
-    except (SopSyntaxError, NoDecisiveVoterError, ValueError, OSError) as exc:
-        # json.JSONDecodeError is a ValueError, so malformed --input lands here too
+    except (ValueError, OSError) as exc:
+        # parse errors, NoDecisiveVoterError and malformed --input are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

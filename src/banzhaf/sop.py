@@ -72,14 +72,6 @@ class Cube:
             return None
         return Cube(self.pos | other.pos, self.neg | other.neg)
 
-    def evaluate(self, assignment: Sequence[int]) -> int:
-        """Value on a 0/1 assignment indexed from variable 1."""
-        if all(assignment[i - 1] for i in self.pos) and not any(
-            assignment[i - 1] for i in self.neg
-        ):
-            return 1
-        return 0
-
 
 def cube_weight(cube: Cube, n: int) -> int:
     """Number of rows a single cube covers: ``2**(n - literal_count)``."""
@@ -116,9 +108,6 @@ class SopExpr:
             if not a.clashes(b):
                 return False
         return True
-
-    def evaluate(self, assignment: Sequence[int]) -> int:
-        return 1 if any(c.evaluate(assignment) for c in self.cubes) else 0
 
 
 # -- parsing ---------------------------------------------------------------

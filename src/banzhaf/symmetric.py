@@ -58,9 +58,6 @@ class SymFn:
     def __invert__(self) -> "SymFn":
         return SymFn(self.n, frozenset(range(self.n + 1)) - self.charset)
 
-    def complement(self) -> "SymFn":
-        return ~self
-
     def __and__(self, other: "SymFn") -> "SymFn":
         self._check_same_arity(other)
         return SymFn(self.n, self.charset & other.charset)

@@ -16,28 +16,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: Largest arity for dense tables (2**24 bits = 2 MiB per table).  Larger
 #: systems must go through the symmetric or subset-sum paths instead.
 N_MAX = 24
 
 
-@lru_cache(maxsize=None)
-def _low_blocks(block: int, length: int) -> int:
-    """Mask of `length` bits: repeating runs of `block` ones then `block` zeros."""
-    m = (1 << block) - 1
-    span = block * 2
-    while span < length:
-        m |= m << span
-        span *= 2
-    return m & ((1 << length) - 1)
+#: One mask per bit position, widened in place to the largest arity asked for.
+_zero_masks: dict[int, int] = {}
 
 
 def _var_zero_mask(pos: int, n: int) -> int:
-    """Rows whose index has bit `pos` clear (the X=0 half for that variable)."""
-    return _low_blocks(1 << pos, 1 << n)
+    """Rows whose index has bit `pos` clear (the X=0 half), over at least 2**n rows.
+
+    The mask for 2**n rows is the low end of the one for 2**(n+1) rows, so a
+    longer mask serves too, but only as the right operand of ``&`` against a
+    value of at most 2**n bits: that costs only the shorter operand.
+    """
+    block = 1 << pos
+    mask = _zero_masks.get(pos, 0)
+    if mask.bit_length() + block < 1 << n:  # the top run of zeros is implied
+        mask = mask or (1 << block) - 1
+        span = mask.bit_length() + block
+        while span < 1 << n:
+            mask |= mask << span
+            span *= 2
+        _zero_masks[pos] = mask
+    return mask
 
 
 def _squeeze(bits: int, pos: int, n: int) -> int:
@@ -47,10 +53,8 @@ def _squeeze(bits: int, pos: int, n: int) -> int:
     Adjacent kept blocks are merged pairwise, doubling the block size each
     round, so the whole compaction costs n-1-pos big-int operations.
     """
-    length = 1 << n
     for k in range(pos, n - 1):
-        s = 1 << k
-        bits = (bits | (bits >> s)) & _low_blocks(2 * s, length)
+        bits = (bits | (bits >> (1 << k))) & _var_zero_mask(k + 1, n)
     return bits
 
 
@@ -58,10 +62,8 @@ def _stretch(bits: int, pos: int, m: int) -> int:
     """Inverse of :func:`_squeeze`: spread a 2**m-bit table over 2**(m+1) bits,
     leaving the result in the blocks where the new variable (at bit `pos`) is 0.
     """
-    length = 1 << (m + 1)
     for k in range(m - 1, pos - 1, -1):
-        s = 1 << k
-        bits = (bits | (bits << s)) & _low_blocks(s, length)
+        bits = (bits | (bits << (1 << k))) & _var_zero_mask(k, m + 1)
     return bits
 
 
@@ -75,7 +77,7 @@ class TruthTable:
     def __post_init__(self) -> None:
         if not 0 <= self.n <= N_MAX:
             raise ValueError(f"arity must be between 0 and {N_MAX}, got {self.n}")
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise ValueError(f"bit vector does not fit 2**{self.n} rows")
 
     # -- constructors -----------------------------------------------------
@@ -90,7 +92,7 @@ class TruthTable:
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         pos = n - i
-        return cls(n, _var_zero_mask(pos, n) << (1 << pos))
+        return cls(n, (((1 << (1 << n)) - 1) & _var_zero_mask(pos, n)) << (1 << pos))
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "TruthTable":
@@ -113,9 +115,6 @@ class TruthTable:
         if not 0 <= j < (1 << self.n):
             raise ValueError(f"row {j} out of range for {self.n} variables")
         return (self.bits >> j) & 1
-
-    def rows(self) -> Iterable[int]:
-        return ((self.bits >> j) & 1 for j in range(1 << self.n))
 
     def to_text(self) -> str:
         """Serialize as ``n=<k>`` header plus the 2**k output bits in row order."""
@@ -158,9 +157,6 @@ class TruthTable:
 
     def __invert__(self) -> "TruthTable":
         return TruthTable(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
-
-    def complement(self) -> "TruthTable":
-        return ~self
 
     # -- restriction and differencing --------------------------------------
 
@@ -243,9 +239,10 @@ class TruthTable:
         if i == j:
             return True
         a, b = self.n - min(i, j), self.n - max(i, j)
-        shift = (1 << a) - (1 << b)
-        pairs = _var_zero_mask(a, self.n) & (_var_zero_mask(b, self.n) << (1 << b))
-        return ((self.bits ^ (self.bits >> shift)) & pairs) == 0
+        # rows with bit a clear and bit b set against their transposes, moved
+        # down onto the rows with both bits clear so that no mask is shifted
+        diff = (self.bits ^ (self.bits >> ((1 << a) - (1 << b)))) >> (1 << b)
+        return (diff & _var_zero_mask(a, self.n) & _var_zero_mask(b, self.n)) == 0
 
     def __repr__(self) -> str:
         return f"TruthTable(n={self.n}, bits=0x{self.bits:x})"

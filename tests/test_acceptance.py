@@ -29,7 +29,7 @@ from banzhaf import (
     tbp_oracle_enum,
     tt_to_minterm_sop,
 )
-from banzhaf.truthtable import _low_blocks
+from banzhaf.truthtable import _zero_masks
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -55,7 +55,7 @@ def criterion(num, label):
 
 def _clear_caches():
     # make timed runs compute everything from scratch
-    _low_blocks.cache_clear()
+    _zero_masks.clear()
 
 
 @criterion(1, "six-member council reproduction, < 10 ms")

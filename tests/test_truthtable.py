@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from banzhaf import TruthTable, VotingSystem
+from banzhaf import TruthTable, VotingSystem, tbp_all
+from banzhaf.truthtable import _zero_masks
 
 
 def rows_of(table):
@@ -57,6 +58,10 @@ def test_arity_and_bits_validation():
         TruthTable(1, 4)
     with pytest.raises(ValueError):
         TruthTable(-1, 0)
+    assert TruthTable(2, 15).weight() == 4
+    for bits in (16, -1):
+        with pytest.raises(ValueError):
+            TruthTable(2, bits)
 
 
 def test_serialization_round_trip():
@@ -337,3 +342,44 @@ def test_product_rule_on_disjoint_variable_sets():
         for _ in range(k):  # prepend the first block
             lifted2 = lifted2.insert_vacuous(1)
         assert (lifted1 & lifted2).weight() == f1.weight() * f2.weight()
+
+
+def kernel_results(tables):
+    """Every mask-using operation on every table, variable and value."""
+    out = []
+    for t in tables:
+        n, ids = t.n, range(1, t.n + 1)
+        out.append([TruthTable.variable(n, i) for i in ids])
+        out.append([t.restrict(i, v) for i in ids for v in (0, 1)])
+        out.append([(t.boolean_difference(i), t.difference_weight(i)) for i in ids])
+        out.append([t.insert_vacuous(i) for i in range(1, n + 2)])
+        out.append([t.is_symmetric_in(i, j) for i in ids for j in ids])
+        out.append(t.is_monotone())
+    return out
+
+
+def test_masks_serve_every_shorter_table():
+    # a mask widened for a larger arity must give the same results on small
+    # tables as one built for their own arity
+    rng = random.Random(1013)
+    tables = [random_table(rng, rng.randint(1, 8)) for _ in range(60)]
+    tables += [upward_closure(t) for t in tables[:20]]
+    _zero_masks.clear()
+    before = kernel_results(tables)
+    wide = random_table(rng, 16)
+    for i in range(1, 17):
+        wide.boolean_difference(i)
+    assert len(_zero_masks) == 16
+    assert all(m.bit_length() >= 1 << 15 for m in _zero_masks.values())
+    assert kernel_results(tables) == before
+
+
+def test_mask_store_holds_one_mask_per_position():
+    rng = random.Random(1014)
+    _zero_masks.clear()
+    for n in range(10, 21):
+        table = random_table(rng, n)
+        tbp_all(table)
+        table.is_symmetric_in(1, n)
+    assert sorted(_zero_masks) == list(range(20))
+    assert sum(m.bit_length() for m in _zero_masks.values()) <= 20 << 20
