@@ -7,14 +7,22 @@ are pairwise disjoint.  Disjointness is what makes weights (and probabilities)
 add term-wise, so most of this module is about producing or exploiting it:
 
 * :func:`make_disjoint` - sequential disjointing: each cube is multiplied by
-  the expanded complements of all cubes before it.
+  the expanded complements of all cubes before it, except that a piece which
+  already clashes with a blocker is kept whole.
 * :func:`sop_weight_disjoint` - sum of ``2**(n - literals)`` over a disjoint
   cover.
 * :func:`sop_weight_ie` - inclusion-exclusion over cube subsets; works on any
-  SOP but is exponential in the cube count.
+  SOP.  The walk skips every extension of a clashing subset, so its cost is
+  the number of subsets whose conjunction does not clash (``2**m - 1`` only
+  when no two of the m cubes clash).
 * :func:`real_transform_eval` - the multi-affine real polynomial that agrees
   with the function on 0/1 inputs; its value at the all-1/2 point times
   ``2**n`` recovers the weight exactly.
+
+The two exponential kernels work on literal bit masks ``(pos, neg)`` with
+bit i for ``X_i``: a conjunction is one OR per side and a clash is
+``pos & neg``.  Cubes are converted once on the way in and once on the way
+out.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .truthtable import N_MAX, TruthTable
 
-#: Inclusion-exclusion enumerates all cube subsets; refuse anything bigger.
+#: Inclusion-exclusion visits up to every cube subset; refuse anything bigger.
 MAX_IE_CUBES = 20
 
 #: Sequential disjointing can double the cube count with every input cube
@@ -66,12 +74,6 @@ class Cube:
         """True iff the two products cannot be simultaneously 1."""
         return bool(self.pos & other.neg or self.neg & other.pos)
 
-    def conjoin(self, other: "Cube") -> Optional["Cube"]:
-        """Product of two cubes, or None when some literal pair clashes."""
-        if self.clashes(other):
-            return None
-        return Cube(self.pos | other.pos, self.neg | other.neg)
-
 
 def cube_weight(cube: Cube, n: int) -> int:
     """Number of rows a single cube covers: ``2**(n - literal_count)``."""
@@ -79,6 +81,21 @@ def cube_weight(cube: Cube, n: int) -> int:
     if free < 0:
         raise ValueError(f"cube uses more than {n} distinct variables")
     return 1 << free
+
+
+def _masks(cube: Cube) -> tuple[int, int]:
+    """The cube's literals as bit masks ``(pos, neg)``, bit i for ``X_i``."""
+    return sum(1 << i for i in cube.pos), sum(1 << i for i in cube.neg)
+
+
+def _indices(mask: int) -> frozenset[int]:
+    """The variable indices whose bits are set in `mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -192,34 +209,30 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
 # -- disjointing ------------------------------------------------------------
 
 
-def _times_complement(cube: Cube, blocker: Cube) -> list[Cube]:
-    """Expand ``cube & ~blocker`` into disjoint cubes, one literal at a time.
+def _times_complement(p: int, q: int, bp: int, bq: int) -> list[tuple[int, int]]:
+    """Expand ``(p, q) & ~(bp, bq)`` into disjoint mask pairs.
 
-    The complement of a product ``l1 l2 .. lk`` is the disjoint OR of
-    ``~l1``, ``l1 ~l2``, ..., ``l1 .. l(k-1) ~lk``; multiplying by `cube`
-    and dropping contradictions yields the expansion.
+    A piece that already clashes with the blocker avoids it and is kept
+    whole.  Otherwise the complement of the blocker's missing literals
+    ``l1 l2 .. lk`` (in variable order) is the disjoint OR of ``~l1``,
+    ``l1 ~l2``, ..., ``l1 .. l(k-1) ~lk``; the blocker's literals that the
+    piece already holds are absorbed, and a piece that holds them all
+    implies the blocker and yields nothing.
     """
-    out: list[Cube] = []
-    acc_pos, acc_neg = set(cube.pos), set(cube.neg)
-    literals = sorted([(v, True) for v in blocker.pos] + [(v, False) for v in blocker.neg])
-    for v, positive in literals:
-        if positive:
-            if v in acc_pos:
-                continue  # the negated term dies; the prefix literal is absorbed
-            if v in acc_neg:
-                out.append(Cube(frozenset(acc_pos), frozenset(acc_neg)))
-                return out  # cube already avoids blocker; later terms all die
-            out.append(Cube(frozenset(acc_pos), frozenset(acc_neg | {v})))
-            acc_pos.add(v)
+    if p & bq or q & bp:
+        return [(p, q)]
+    out = []
+    missing = (bp & ~p) | (bq & ~q)
+    while missing:
+        v = missing & -missing
+        missing ^= v
+        if v & bp:
+            out.append((p, q | v))
+            p |= v
         else:
-            if v in acc_neg:
-                continue
-            if v in acc_pos:
-                out.append(Cube(frozenset(acc_pos), frozenset(acc_neg)))
-                return out
-            out.append(Cube(frozenset(acc_pos | {v}), frozenset(acc_neg)))
-            acc_neg.add(v)
-    return out  # cube implies blocker: the product with ~blocker is empty
+            out.append((p | v, q))
+            q |= v
+    return out
 
 
 def make_disjoint(expr: SopExpr) -> SopExpr:
@@ -227,17 +240,21 @@ def make_disjoint(expr: SopExpr) -> SopExpr:
 
     Cube k is replaced by its products with the expanded complements of cubes
     1..k-1, in list order; no reordering heuristic is applied, so the output
-    is deterministic.  Already-disjoint input (including any single cube) is
-    returned unchanged.  Raises ``ValueError`` as soon as the cubes produced
-    would exceed :data:`MAX_DISJOINT_CUBES`.
+    is deterministic.  A piece that already clashes with a blocker avoids it
+    and is kept whole, not cut at each of the blocker's literals before the
+    clash, so later blockers multiply one piece instead of several.
+    Already-disjoint input (including any single cube) is returned
+    unchanged.  Raises ``ValueError`` as soon as the cubes produced would
+    exceed :data:`MAX_DISJOINT_CUBES`.
     """
     if expr.disjoint:
         return expr
-    out: list[Cube] = []
-    for k, cube in enumerate(expr.cubes):
+    masks = [_masks(c) for c in expr.cubes]
+    out: list[tuple[int, int]] = []
+    for k, cube in enumerate(masks):
         fragments = [cube]
-        for blocker in expr.cubes[:k]:
-            fragments = [piece for f in fragments for piece in _times_complement(f, blocker)]
+        for bp, bq in masks[:k]:
+            fragments = [piece for p, q in fragments for piece in _times_complement(p, q, bp, bq)]
             if not fragments:
                 break
             if len(out) + len(fragments) > MAX_DISJOINT_CUBES:
@@ -246,7 +263,8 @@ def make_disjoint(expr: SopExpr) -> SopExpr:
                     f"MAX_DISJOINT_CUBES = {MAX_DISJOINT_CUBES} cubes"
                 )
         out.extend(fragments)
-    return SopExpr(expr.n, tuple(out), disjoint=True)
+    cubes = tuple(Cube(_indices(p), _indices(q)) for p, q in out)
+    return SopExpr(expr.n, cubes, disjoint=True)
 
 
 # -- weight computation ------------------------------------------------------
@@ -260,25 +278,34 @@ def sop_weight_disjoint(expr: SopExpr) -> int:
 
 
 def sop_weight_ie(expr: SopExpr) -> int:
-    """Weight by inclusion-exclusion over all nonempty cube subsets.
+    """Weight by inclusion-exclusion over the nonempty cube subsets.
 
-    Works on arbitrary (overlapping) SOPs; subsets whose conjunction clashes
-    contribute nothing.  Cost is ``2**len(cubes)``, hence the hard cap.
+    Works on arbitrary (overlapping) SOPs.  The subsets are walked depth
+    first, each one extended only by cubes after its last, so every subset
+    is met once and its conjunction is one OR of bit masks on top of its
+    parent's.  A subset whose conjunction clashes contributes nothing, and
+    so does every subset that extends it, so its whole subtree is skipped.
+    The cost is the number of subsets that do not clash: ``2**m - 1`` when
+    no two of the m cubes clash, hence the hard cap.
     """
     m = len(expr.cubes)
     if m > MAX_IE_CUBES:
         raise ValueError(f"inclusion-exclusion limited to {MAX_IE_CUBES} cubes, got {m}")
+    masks = [_masks(c) for c in expr.cubes]
+    n = expr.n
     total = 0
-    for r in range(1, m + 1):
-        sign = 1 if r % 2 else -1
-        for subset in combinations(expr.cubes, r):
-            merged = subset[0]
-            for c in subset[1:]:
-                merged = merged.conjoin(c)
-                if merged is None:
-                    break
-            if merged is not None:
-                total += sign * cube_weight(merged, expr.n)
+    # (first cube the subset may add, its pos and neg masks, sign one cube larger)
+    stack = [(0, 0, 0, 1)]
+    while stack:
+        start, p, q, sign = stack.pop()
+        for j in range(start, m):
+            cp, cq = masks[j]
+            jp, jq = p | cp, q | cq
+            if jp & jq:
+                continue
+            total += sign << (n - (jp | jq).bit_count())
+            if j + 1 < m:
+                stack.append((j + 1, jp, jq, -sign))
     return total
 
 

@@ -1,9 +1,12 @@
 """SOP grammar, sequential disjointing, and the three weight methods."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banzhaf import (
     Cube,
@@ -156,6 +159,14 @@ def test_make_disjoint_reproduces_textbook_cover():
     ]
 
 
+def test_make_disjoint_keeps_clashing_cube_whole():
+    # X2' X3 clashes with X1 X2 and stays one cube; X1 X3 minus X1 X2 is
+    # X1 X2' X3, which implies X2' X3 and so disappears
+    got = make_disjoint(parse_sop("X1 X2 | X2' X3 | X1 X3", XYZ))
+    assert got.verify_disjoint()
+    assert cubes_as_sets(got) == [({1, 2}, set()), ({3}, {2})]
+
+
 def test_make_disjoint_keeps_single_cube():
     expr = parse_sop("X1 X2", XYZ)
     assert make_disjoint(expr) is expr  # already certified disjoint
@@ -223,6 +234,22 @@ def test_ie_weight_of_two_of_three():
 def test_ie_weight_single_and_duplicate_cubes():
     assert sop_weight_ie(parse_sop("X1 X2", XYZ)) == 2
     assert sop_weight_ie(parse_sop("X1 | X1", ["X1", "X2"])) == 2 + 2 - 2
+
+
+def test_ie_weight_skips_clashing_subsets():
+    # 20 distinct minterms over 5 variables clash pairwise, so the walk meets
+    # only the 20 singletons instead of all 2**20 - 1 subsets
+    full = frozenset(range(1, 6))
+    minterms = [frozenset(i for i in full if k >> (i - 1) & 1) for k in range(20)]
+    expr = SopExpr(5, tuple(Cube(pos, full - pos) for pos in minterms))
+    start = time.perf_counter()
+    assert sop_weight_ie(expr) == 20
+    assert time.perf_counter() - start < 0.1
+
+
+def test_ie_weight_without_clashes_visits_every_subset():
+    cubes = tuple(Cube(frozenset({i}), frozenset()) for i in range(1, 17))
+    assert sop_weight_ie(SopExpr(16, cubes)) == 2**16 - 1
 
 
 def test_ie_weight_cube_cap():
@@ -328,3 +355,30 @@ def test_weight_methods_agree_on_random_sops():
         assert sop_weight_ie(expr) == by_table
         assert sop_weight_disjoint(make_disjoint(expr)) == by_table
         assert sop_weight_real(make_disjoint(expr)) == by_table
+
+
+@st.composite
+def sops(draw):
+    """Up to 10 cubes over n <= 8 variables, drawn with repeats from a pool."""
+    n = draw(st.integers(0, 8))
+    literal = st.sampled_from(["", "pos", "neg"])
+    pool = draw(st.lists(st.lists(literal, min_size=n, max_size=n), min_size=1, max_size=10))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+    cubes = [
+        Cube(
+            frozenset(i for i, s in enumerate(pool[k], 1) if s == "pos"),
+            frozenset(i for i, s in enumerate(pool[k], 1) if s == "neg"),
+        )
+        for k in picks
+    ]
+    return SopExpr.from_cubes(n, cubes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sops())
+def test_weight_and_cover_properties(expr):
+    table = sop_to_tt(expr)
+    assert sop_weight_ie(expr) == table.weight()
+    got = make_disjoint(expr)
+    assert got.verify_disjoint()
+    assert sop_to_tt(got) == table
