@@ -17,13 +17,14 @@ Exit codes: 0 success, 2 malformed input, 3 method/oracle disagreement,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .power import OracleDisagreementError, PowerReport, analyze
+from .power import ORACLE_AUTO_LIMIT, OracleDisagreementError, PowerReport, analyze
 from .sop import (
     SopExpr,
     make_disjoint,
@@ -158,7 +159,12 @@ class ReportDocument:
             f"checks: monotone={str(self.monotone).lower()} "
             f"causal={str(self.causal).lower()} constant={str(self.constant).lower()}"
         )
-        lines.append(f"oracle: {'verified' if self.oracle_verified else 'not run'}")
+        if self.oracle_verified:
+            lines.append("oracle: verified")
+        elif self.n <= ORACLE_AUTO_LIMIT:
+            lines.append("oracle: not run (disabled)")
+        else:
+            lines.append(f"oracle: not run (n > {ORACLE_AUTO_LIMIT})")
         return "\n".join(lines) + "\n"
 
 
@@ -290,7 +296,15 @@ def _add_system_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="JSON file with quota/weights[/names] fields")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``banzhaf`` command line, built on first use and reused after.
+
+    Argparse returns a fresh namespace on every parse, so the one parser
+    carries no state from call to call.  Each handler looks the package
+    functions up in this module's globals when it runs, so a name patched
+    here after the first call still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="banzhaf",
         description="Banzhaf voting-power analysis of weighted yes-no systems.",
@@ -331,6 +345,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one ``banzhaf`` command line and return its exit code.
+
+    `argv` defaults to ``sys.argv[1:]``.  The parser is built on the first
+    call and reused by later calls, so ``main`` can be called repeatedly in
+    one process.  Argparse errors and ``--help`` raise SystemExit as usual.
+    """
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -138,6 +138,22 @@ def sop_names(text: str) -> list[str]:
     return list(dict.fromkeys(t for t in _TOKEN.findall(text) if _NAME.fullmatch(t)))
 
 
+def variable_index(names: Sequence[str]) -> dict[str, int]:
+    """Map each declared variable name to its 1-based position.
+
+    A variable name is a letter or ``_`` followed by letters, digits or
+    ``_``; an invalid or repeated name is a ValueError.
+    """
+    index: dict[str, int] = {}
+    for k, name in enumerate(names):
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        if name in index:
+            raise ValueError(f"duplicate variable name {name!r}")
+        index[name] = k + 1
+    return index
+
+
 def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     """Parse SOP text over the declared variable name list.
 
@@ -148,13 +164,7 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     contradictory term is an error.  Empty input denotes the constant-0
     function.
     """
-    index: dict[str, int] = {}
-    for k, name in enumerate(names):
-        if not _NAME.fullmatch(name):
-            raise ValueError(f"invalid variable name {name!r}")
-        if name in index:
-            raise ValueError(f"duplicate variable name {name!r}")
-        index[name] = k + 1
+    index = variable_index(names)
     n = len(index)
 
     tokens = [(m.group(0), m.start()) for m in _TOKEN.finditer(text)]

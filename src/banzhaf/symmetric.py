@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
+from .sop import variable_index
 from .truthtable import N_MAX, TruthTable
 
 
@@ -168,7 +169,7 @@ def parse_sym(text: str) -> tuple[SymFn, Optional[tuple[str, ...]]]:
     """Parse the ``Sy(n; {a1,...}; v1,...)`` form, whitespace-insensitively.
 
     Returns the function and the variable-name tuple, or None when the name
-    part is omitted.
+    part is omitted.  Names follow the SOP parser's rules: valid and distinct.
     """
     m = _SYM_TEXT.match(text)
     if m is None:
@@ -179,6 +180,7 @@ def parse_sym(text: str) -> tuple[SymFn, Optional[tuple[str, ...]]]:
     names: Optional[tuple[str, ...]] = None
     if m.group(3) is not None:
         names = tuple(s.strip() for s in m.group(3).split(","))
-        if len(names) != n or any(not name for name in names):
+        if len(names) != n:
             raise ValueError(f"expected {n} variable names in {text!r}")
+        variable_index(names)
     return SymFn(n, charset), names

@@ -1,10 +1,19 @@
 """Command-line surface: outputs, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import banzhaf
+from banzhaf import cli
 from banzhaf.cli import ReportDocument, main
+
+SRC = str(Path(banzhaf.__file__).resolve().parent.parent)
 
 EEC_ARGS = ["--quota", "12", "--weights", "4,4,4,2,2,1", "--names", "F,G,I,B,N,L"]
 
@@ -64,7 +73,16 @@ def test_analyze_constant_system_exit_code(capsys):
 def test_analyze_no_oracle_flag(capsys):
     code, out, _ = run_cli(capsys, "analyze", *EEC_ARGS, "--no-oracle")
     assert code == 0
-    assert "oracle: not run" in out
+    assert "oracle: not run (disabled)" in out
+
+
+def test_analyze_oracle_skipped_above_auto_limit(capsys):
+    fourteen = ["--quota", "8", "--weights", ",".join(["1"] * 14)]
+    code, out, _ = run_cli(capsys, "analyze", *fourteen)
+    assert code == 0
+    assert out.endswith("oracle: not run (n > 12)\n")
+    code, out, _ = run_cli(capsys, "analyze", *fourteen, "--format", "json")
+    assert json.loads(out)["oracle_verified"] is False
 
 
 def test_analyze_huge_weights_need_no_oracle(capsys):
@@ -239,3 +257,105 @@ def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def fresh_env():
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(argv):
+    """Exit code, stdout and stderr of `argv` in a new ``python -m banzhaf.cli``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "banzhaf.cli", *argv],
+        capture_output=True, text=True, env=fresh_env(), timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_built_once_per_process():
+    script = textwrap.dedent(
+        """
+        import argparse, contextlib, io
+
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            global built
+            built += 1
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting_init
+        import banzhaf.cli
+        counts = [built]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(5):
+                banzhaf.cli.main(["weight", "X1 X2 | X2 X3", "--method", "table"])
+                counts.append(built)
+        print(counts)
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=fresh_env(), timeout=60, check=True,
+    )
+    counts = json.loads(done.stdout)
+    assert counts[0] == 0
+    assert counts[1] > 0
+    assert counts[1:] == [counts[1]] * 5
+
+
+@pytest.mark.parametrize(
+    "calls, last_out_has",
+    [
+        ([["analyze", *EEC_ARGS, "--no-oracle"], ["analyze", *EEC_ARGS]], "oracle: verified"),
+        (
+            [["weight", "X1 X2 | X2 X3 | X1 X3", "--method", "ie"], ["weight", "X1 X2 | X2 X3 | X1 X3"]],
+            "table    4\ndisjoint 4\nie       4\n",
+        ),
+        ([["frobnicate"], ["analyze", *EEC_ARGS, "--format", "json"]], '"oracle_verified": true'),
+    ],
+    ids=["oracle-flag", "method", "argparse-error"],
+)
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch, calls, last_out_has):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    results = [run_in_process(capsys, argv) for argv in calls]
+    assert results == [run_fresh(argv) for argv in calls]
+    assert results[-1][0] == 0 and last_out_has in results[-1][1]
+
+
+def test_help_after_earlier_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["weight", "X1"], ["analyze", *EEC_ARGS, "--no-oracle"], ["analyze", "--help"], ["--help"]]
+    results = [run_in_process(capsys, argv) for argv in calls]
+    assert results == [run_fresh(argv) for argv in calls]
+    code, out, _ = results[-1]
+    assert code == 0 and out.startswith("usage: banzhaf")
+
+
+def test_patched_package_function_takes_effect_after_first_call(capsys, monkeypatch):
+    assert run_cli(capsys, "analyze", *EEC_ARGS)[0] == 0
+    seen = []
+    original = cli.analyze
+
+    def spy(system, verify=None):
+        seen.append(system.n)
+        return original(system, verify=verify)
+
+    monkeypatch.setattr(cli, "analyze", spy)
+    assert run_cli(capsys, "analyze", *EEC_ARGS)[0] == 0
+    assert seen == [6]

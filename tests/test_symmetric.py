@@ -203,6 +203,9 @@ def test_textual_round_trip():
 
 
 def test_textual_parse_errors():
-    for bad in ["Sy(3; 2,3)", "Sy(3; {2,3}; F,G)", "sy(3; {1})", "Sy(x; {1})"]:
+    for bad in [
+        "Sy(3; 2,3)", "Sy(3; {2,3}; F,G)", "sy(3; {1})", "Sy(x; {1})",
+        "Sy(2; {1}; A,A)", "Sy(2; {1}; A, 1x)",
+    ]:
         with pytest.raises(ValueError):
             parse_sym(bad)
