@@ -2,8 +2,10 @@
 
 The package models a weighted yes-no voting system as a threshold switching
 function and computes each voter's total and normalized Banzhaf power from
-the weight of the function's Boolean difference, with exhaustive-enumeration
-and subset-sum oracles cross-checking every analysis.  Supporting machinery -
+the weight of the function's Boolean difference, taken per node of its
+decision diagram up to 24 voters and by subset-sum counting beyond.  The
+cross-check compares those counts with the dense truth table's and with
+exhaustive-enumeration and subset-sum oracles.  Supporting machinery -
 dense truth tables, a sum-of-products algebra with sequential disjointing,
 and a characteristic-set calculus for symmetric functions - is exposed as a
 library; the ``banzhaf`` command wraps it for the command line.
@@ -48,7 +50,7 @@ from .sop import (
 )
 from .symmetric import SymFn, parse_sym
 from .truthtable import N_MAX, TruthTable
-from .voting import VotingSystem, check_scale_invariance
+from .voting import VotingSystem
 
 __all__ = [
     "Cube",
@@ -69,7 +71,6 @@ __all__ = [
     "TruthTable",
     "VotingSystem",
     "analyze",
-    "check_scale_invariance",
     "cube_weight",
     "make_disjoint",
     "normalize",

@@ -34,6 +34,7 @@ from .sop import (
     sop_weight_disjoint,
     sop_weight_ie,
     tt_to_minterm_sop,
+    variable_index,
 )
 from .voting import VotingSystem
 
@@ -267,6 +268,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     else:
         system = _system_from_args(args)
         names = list(system.voter_names)
+        variable_index(names)  # the SOP text printed below must read back as these voters
         table = system.to_table()
 
     if args.voter not in names:

@@ -3,11 +3,14 @@
 A voter's total Banzhaf power (TBP) is the number of ways that voter can
 swing the outcome: winning vote configurations that turn losing when the
 voter alone defects.  For a monotone rule this is exactly the weight of the
-Boolean difference of the rule with respect to that voter, which the main
-path computes on the dense truth table.  Two independent oracles recompute
-the same number from the quota-and-weights description alone - one by direct
-enumeration of all vote configurations, one by subset-sum counting over the
-other voters - and :func:`analyze` treats any disagreement as a hard error.
+Boolean difference of the rule with respect to that voter.  :func:`analyze`
+takes that weight per node of the rule's decision diagram up to
+:data:`~banzhaf.truthtable.N_MAX` voters, and counts subset sums beyond.
+:func:`tbp_all` takes it on the dense truth table instead, and two
+independent oracles recompute the same number from the quota-and-weights
+description alone - one by direct enumeration of all vote configurations,
+one by subset-sum counting over the other voters.  Under its cross-check
+:func:`analyze` treats any disagreement among the four as a hard error.
 :func:`analyze` computes the count vector once per system; the dummies (zero
 counts) and the symmetry classes (equal counts) are read off it.
 
@@ -24,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
 from .truthtable import N_MAX, TruthTable
-from .voting import VotingSystem
+from .voting import Diagram, VotingSystem
 
 #: analyze() runs the oracle cross-check by default up to this arity.
 ORACLE_AUTO_LIMIT = 12
@@ -89,7 +91,7 @@ class PowerReport:
     oracle_verified: bool
 
 
-# -- derivative-weight path ----------------------------------------------------
+# -- Boolean-difference weights, per table and per diagram node -----------------
 
 
 def _essential(raw: Sequence[int]) -> tuple[int, ...]:
@@ -127,6 +129,38 @@ def tbp_all(
     for group in groups:
         raw.update(dict.fromkeys(group, table.difference_weight(group[0])))
     return _essential([raw[i] for i in range(1, n + 1)])
+
+
+def _dd_swing_counts(diagram: Diagram) -> tuple[int, ...]:
+    """Raw per-voter swing counts, read off the rule's decision diagram.
+
+    The paper's two operations, taken per node instead of per table: at a
+    level-i node the Boolean difference with respect to voter i + 1 is true
+    where the yes child is true and the no child false (the rule is
+    monotone), so its weight there is models(yes) - models(no), once for
+    every path from the root into the node.  Models are counted bottom-up
+    and paths top-down, one pass each.
+    """
+    n, nos, yeses = diagram.n, diagram.no, diagram.yes
+    models = [0, 1]  # ZERO and ONE on level n, where no vote is left
+    gains = []  # per level from the bottom: models(yes) - models(no) per inner node
+    for i in range(n - 1, -1, -1):
+        pairs = list(zip(nos[i], yeses[i]))
+        gains.append([models[yes] - models[no] for no, yes in pairs])
+        models = [0, 1 << (n - i)] + [models[no] + models[yes] for no, yes in pairs]
+    gains.reverse()
+    paths = [0, 0, 1]  # into level 0: none into the constants, one into the root
+    counts = []
+    for i in range(n):
+        below = [0] * (2 + (len(nos[i + 1]) if i + 1 < n else 0))
+        count = 0
+        for p, gain, no, yes in zip(paths[2:], gains[i], nos[i], yeses[i]):
+            count += p * gain
+            below[no] += p
+            below[yes] += p
+        counts.append(count)
+        paths = below
+    return tuple(counts)
 
 
 def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
@@ -214,7 +248,7 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     work = sum(1 for w in weights if w // g < q) * q * nbytes
     if q * nbytes > MAX_DP_BYTES or work > MAX_DP_WORK:
         hint = (
-            "; the dense route needs no such table, so pass verify=False "
+            "; the decision diagram needs no such table, so pass verify=False "
             "(--no-oracle on the command line)"
             if n <= N_MAX
             else ""
@@ -265,19 +299,23 @@ def tbp_oracle_dp(system: VotingSystem) -> tuple[int, ...]:
 def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     """Analyze a voting system: powers, dummies, symmetry classes, findings.
 
-    The swing counts come from the dense table's Boolean-difference weights
-    up to :data:`~banzhaf.truthtable.N_MAX` voters, one per group of equal
-    weights, and from the subset-sum oracle beyond.  On both routes the
-    dummies are the zero counts and the classes the groups of equal counts:
-    two voters of a weighted rule are interchangeable exactly when they swing
-    equally often (Taylor & Zwicker, *Simple Games*, 1999).  The structural
-    findings are read off the rule: it is monotone, and causal unless the
-    quota exceeds the total weight, when it is constant.  By default up to
-    :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way) the
-    counts are cross-checked against both oracles, and the dummies, classes
-    and findings against the table's vacuity, transposition, monotonicity
-    and causality tests and its weight.  ``verify=True`` beyond
-    :data:`MAX_ENUM_VOTERS` voters raises ``ValueError`` at once.
+    The swing counts are Boolean-difference weights taken per node of the
+    rule's decision diagram (:meth:`~banzhaf.voting.VotingSystem.diagram`)
+    up to :data:`~banzhaf.truthtable.N_MAX` voters, and come from the
+    subset-sum oracle beyond; no truth table is built unless `verify` is on.
+    On both routes the dummies are the zero counts and the classes the
+    groups of equal counts: two voters of a weighted rule are
+    interchangeable exactly when they swing equally often (Taylor & Zwicker,
+    *Simple Games*, 1999).  The structural findings are read off the rule:
+    it is monotone, and causal unless the quota exceeds the total weight,
+    when it is constant.  By default up to :data:`ORACLE_AUTO_LIMIT` voters
+    (`verify` overrides this either way) the table is folded from the same
+    diagram, and four count sources must agree: the diagram, the table's
+    Boolean-difference weights (:func:`tbp_all`), enumeration and subset-sum
+    counting.  The dummies, classes and findings are checked against the
+    table's vacuity, transposition, monotonicity and causality tests and its
+    weight.  ``verify=True`` beyond :data:`MAX_ENUM_VOTERS` voters raises
+    ``ValueError`` at once.
     """
     n = system.n
     if verify is None:
@@ -293,32 +331,44 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     if n > N_MAX:
         tbp_vec = tbp_oracle_dp(system)
     else:
-        table = system.to_table()
-        tbp_vec = tbp_all(table, _groups(weights))
+        diagram = system.diagram()
+        tbp_vec = _essential(_dd_swing_counts(diagram))
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)
 
-    if verify:
-        dp_vec = tbp_oracle_dp(system)
-        enum_vec = tbp_oracle_enum(system)
-        lookup = {i: group for group in classes for i in group}
-        voters = range(1, n + 1)
+    if verify:  # so n <= MAX_ENUM_VOTERS < N_MAX, and the diagram exists
+        table = diagram.to_table()
+        sources = {
+            "diagram": tbp_vec,
+            "table": tbp_all(table, _groups(weights)),
+            "enumeration": tbp_oracle_enum(system),
+            "subset-sum": tbp_oracle_dp(system),
+        }
+        # One transposition per class member after the first, n - k in all,
+        # is as strong as checking every pair of voters:
+        # - same class => symmetric: symmetry under a transposition of two
+        #   variables is an equivalence relation, so members symmetric with
+        #   their class's first member are symmetric with each other;
+        # - symmetric => same class: enumeration counts voters of equal
+        #   weight alike, so each group of equal weights lies in one class,
+        #   and by the above its members are symmetric with the one that
+        #   tbp_all differentiated.  Symmetric variables have equal
+        #   difference weights, so once the sources agree, each voter's count
+        #   is its own halved difference weight, and symmetric voters have
+        #   equal counts.
         if not (
-            tbp_vec == enum_vec == dp_vec
+            len(set(sources.values())) == 1
             and checks
             == StructuralChecks(
                 table.is_monotone(), table.is_causal(), table.weight() in (0, 1 << n)
             )
-            and all((i in dummies) == table.is_vacuous_in(i) for i in voters)
-            and all(
-                (lookup[i] is lookup[j]) == table.is_symmetric_in(i, j)
-                for i, j in combinations(voters, 2)
-            )
+            and all((i in dummies) == table.is_vacuous_in(i) for i in range(1, n + 1))
+            and all(table.is_symmetric_in(group[0], i) for group in classes for i in group[1:])
         ):
+            counts = " ".join(f"{name}={vec}" for name, vec in sources.items())
             raise OracleDisagreementError(
-                f"analysis of {system} fails its cross-check: derivative={tbp_vec} "
-                f"enumeration={enum_vec} subset-sum={dp_vec} dummies={sorted(dummies)} "
-                f"classes={classes} checks={checks}"
+                f"analysis of {system} fails its cross-check: {counts} "
+                f"dummies={sorted(dummies)} classes={classes} checks={checks}"
             )
 
     ntbp = normalize(tbp_vec) if any(tbp_vec) else ()

@@ -245,6 +245,16 @@ def test_derivative_unknown_voter(capsys):
     assert "unknown voter" in err
 
 
+def test_derivative_refuses_names_sop_text_cannot_hold(capsys):
+    # printed unchecked, these names read as `a b' c' | a b c''`
+    code, out, err = run_cli(
+        capsys, "derivative", "--quota", "2", "--weights", "1,1,1", "--names", "a b,c',d",
+        "--voter", "d",
+    )
+    assert code == 2 and out == ""
+    assert "invalid variable name 'a b'" in err
+
+
 def test_derivative_conflicting_inputs(capsys):
     code, _, err = run_cli(
         capsys, "derivative", "--expr", "X1", "--quota", "1", "--weights", "1",

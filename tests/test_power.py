@@ -8,6 +8,7 @@ checked against something none of them share code with.
 import random
 import time
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 
@@ -32,9 +33,11 @@ from banzhaf.power import (
     MAX_DP_BYTES,
     MAX_DP_WORK,
     MAX_ENUM_VOTERS,
+    _dd_swing_counts,
     _dp_swing_counts,
     _enum_swing_counts,
 )
+from banzhaf.voting import Diagram
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -156,6 +159,68 @@ def small_systems(draw):
 def test_dp_kernel_matches_enumeration(system):
     quota, weights = system
     assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
+
+
+@st.composite
+def large_weight_systems(draw):
+    # a few values, zero among them, drawn with repeats: zero weights, equal
+    # weights and sums that rarely collide all occur
+    values = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=12)) + [0]
+    weights = tuple(draw(st.lists(st.sampled_from(values), min_size=1, max_size=12)))
+    return draw(st.integers(1, sum(weights) + 2)), weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_weight_systems())
+def test_diagram_counts_match_enumeration(system):
+    quota, weights = system
+    diagram = VotingSystem(quota, weights).diagram()
+    assert _dd_swing_counts(diagram) == _enum_swing_counts(quota, weights)
+
+
+def test_analyze_without_verify_builds_no_table(monkeypatch):
+    rng = random.Random(5006)
+    weights = tuple(rng.sample(range(1, 1001), 20))
+    system = VotingSystem(sum(weights) // 2 + 1, weights)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a truth table was built")
+
+    monkeypatch.setattr(VotingSystem, "to_table", refuse)
+    monkeypatch.setattr(Diagram, "to_table", refuse)
+    monkeypatch.setattr(TruthTable, "__post_init__", refuse)
+    report = analyze(system, verify=False)
+    assert report.tbp == _dd_swing_counts(system.diagram())  # no dummies here
+    assert not report.oracle_verified
+
+
+def mitm_swings(quota, weights):
+    """Raw swing counts by meeting in the middle: for each voter, the pairs of
+    subset sums of two halves of the others that land in [quota - w, quota - 1]."""
+    counts = []
+    for k, w in enumerate(weights):
+        others = weights[:k] + weights[k + 1 :]
+        left, right = [0], [0]
+        middle = len(others) // 2
+        for half, sums in ((others[:middle], left), (others[middle:], right)):
+            for v in half:
+                sums += [s + v for s in sums]
+        right.sort()
+        counts.append(
+            sum(bisect_left(right, quota - a) - bisect_left(right, quota - w - a) for a in left)
+        )
+    return tuple(counts)
+
+
+def test_analyze_of_24_distinct_weights_near_10_to_the_12():
+    rng = random.Random(5007)
+    weights = tuple(10**12 + rng.randrange(10**9) for _ in range(24))
+    system = VotingSystem(sum(weights) // 2 + 1, weights)
+    start = time.perf_counter()
+    report = analyze(system, verify=False)
+    assert time.perf_counter() - start < 2.0
+    assert not report.dummies  # so the counts need no halving
+    assert report.tbp == mitm_swings(system.quota, weights)
 
 
 def test_dp_kernel_edge_cases():
@@ -399,6 +464,35 @@ def test_structural_checks_are_cross_checked(monkeypatch):
     with pytest.raises(OracleDisagreementError):
         analyze(VotingSystem(2, (1, 1)))
     assert analyze(VotingSystem(2, (1, 1)), verify=False).checks.monotone
+
+
+def test_verify_catches_every_flipped_table_row(monkeypatch):
+    fold = Diagram.to_table
+    for row in range(1 << EEC.n):
+
+        def flipped(self, row=row):
+            return TruthTable(self.n, fold(self).bits ^ (1 << row))
+
+        monkeypatch.setattr(Diagram, "to_table", flipped)
+        with pytest.raises(OracleDisagreementError):
+            analyze(EEC, verify=True)
+
+
+def test_classes_are_checked_with_one_transposition_per_extra_member(monkeypatch):
+    calls = []
+    symmetric = TruthTable.is_symmetric_in
+
+    def spy(self, i, j):
+        calls.append((i, j))
+        return symmetric(self, i, j)
+
+    monkeypatch.setattr(TruthTable, "is_symmetric_in", spy)
+    report = analyze(EEEC, verify=True)
+    assert report.classes == ((1, 2, 3, 4), (5, 6), (7, 8), (9,))
+    assert sorted(calls) == [(1, 2), (1, 3), (1, 4), (5, 6), (7, 8)]  # n - k = 9 - 4
+    monkeypatch.setattr(TruthTable, "is_symmetric_in", lambda self, i, j: False)
+    with pytest.raises(OracleDisagreementError):
+        analyze(EEEC, verify=True)
 
 
 def test_power_report_is_immutable():

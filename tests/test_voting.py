@@ -18,7 +18,6 @@ from banzhaf import (
     TruthTable,
     VotingSystem,
     analyze,
-    check_scale_invariance,
     parse_sop,
     sop_to_tt,
 )
@@ -113,6 +112,23 @@ def test_to_table_keeps_nothing_alive():
     assert left < 64 * 1024
     # the table itself is 2 MiB; one level of partial tables at a time
     assert peak < 16 * 1024 * 1024
+
+
+def test_to_table_of_24_distinct_weights_near_10_to_the_12():
+    rng = random.Random(4005)
+    weights = tuple(10**12 + rng.randrange(10**9) for _ in range(24))
+    system = VotingSystem(sum(weights) // 2 + 1, weights)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = system.to_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024
+    for j in rng.sample(range(1 << 24), 2000):
+        total = sum(weights[i] for i in range(24) if (j >> (23 - i)) & 1)
+        assert table.row(j) == (1 if total >= system.quota else 0)
 
 
 def test_unanimity_and_single_vote_rules():
@@ -227,6 +243,11 @@ def test_symmetry_classes_agree_with_pairwise_transpositions():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert (lookup[i] is lookup[j]) == table.is_symmetric_in(i, j)
+
+
+def check_scale_invariance(system: VotingSystem, c: int) -> bool:
+    """The table is unchanged when quota and weights scale by c."""
+    return system.to_table() == system.scaled(c).to_table()
 
 
 def test_scale_invariance():
