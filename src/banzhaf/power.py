@@ -27,7 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from math import gcd
+from operator import itemgetter
+from struct import iter_unpack
 from typing import Optional, Sequence
 
 from .truthtable import N_MAX, TruthTable
@@ -45,9 +48,14 @@ MAX_ENUM_VOTERS = 20
 #: refused with ``ValueError`` rather than left to run out of memory.
 MAX_DP_BYTES = 1 << 25
 
-#: Most byte operations the subset-sum counter spends, one pass over its table
-#: per voter lighter than the quota: about 2 s at 1e9 operations per second.
+#: Most byte operations the subset-sum counter spends in its passes over its
+#: table, one per voter lighter than the quota: about 2 s at 1e9 operations
+#: per second.  Its prefix passes and window sums come on top.
 MAX_DP_WORK = 1 << 31
+
+#: Counts the subset-sum counter decodes into one list at a time when it reads
+#: every field of its table: the list stays a few MB however large the table.
+DP_BLOCK = 1 << 15
 
 
 class OracleDisagreementError(RuntimeError):
@@ -229,15 +237,21 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     ``prod (1 + x**w) mod x**q``.  The coefficients are packed into one big
     integer, ``8 * (n // 8 + 1)`` bits each (no count exceeds ``2**n``), so a
     voter costs one shift, one add and one mask, and a voter with ``w >= q``
-    costs nothing.  The same shift-and-add turns the counts into prefix sums.
-    Dividing by ``1 + x**w`` un-inserts a voter, so the others' window sum
-    for each *distinct* weight is an alternating sum of ``O(q / w)`` prefix
-    sums read from the packed table.
+    costs nothing.  Dividing by ``1 + x**w`` un-inserts a voter, so the
+    others' window sum for each *distinct* weight is an alternating sum of
+    ``O(q / w)`` prefix sums of the counts.
 
-    Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes plus
-    O(sum over distinct weights of q / w) small steps, after the gcd
-    reduction, and allocates nothing proportional to the total weight.
-    Raises ``ValueError`` past :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.
+    Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes, after
+    the gcd reduction, then the window sums.  Those read about ``q / w``
+    prefix sums per distinct weight, ``sum(q // w)`` in all.  When that is
+    at least ``q`` (the dense case) every count is decoded once,
+    :data:`DP_BLOCK` at a time, accumulated into prefix sums, and each window
+    sum is a C-level strided slice of the block; otherwise the same
+    shift-and-add turns the packed counts into prefix sums in ``log2(q)``
+    more passes and each prefix sum is read on its own.  Either way
+    ``min(sum(q // w), q)`` fields are decoded, and nothing proportional to
+    the total weight is allocated.  Raises ``ValueError`` past
+    :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.
     """
     n = len(weights)
     if quota > sum(weights):  # nobody wins, so nobody swings (all-zero weights too)
@@ -264,27 +278,56 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
         w //= g
         if w < q:  # (1 + x**w) = 1 mod x**q
             poly = (poly + (poly << w * bits)) & mask
-    span = 1  # times 1 + x + .. + x**(2*span - 1): field s becomes P[0] + .. + P[s]
-    while span < q:
-        poly = (poly + (poly << span * bits)) & mask
-        span *= 2
-    packed = poly.to_bytes(q * nbytes, "little")
 
-    def prefixes(top: int, step: int) -> int:
-        """Sum of pre[t] = #(subsets with sum < t) over t = top, top - step, .. > 0."""
-        return sum(
-            int.from_bytes(packed[end - nbytes : end], "little")
-            for end in range(top * nbytes, 0, -step * nbytes)
+    # With pre[t] = #(subsets with sum < t), and pre[t] = 0 for t <= 0, the
+    # others' count in [q - r, q - 1] is the sum over j >= 0 of
+    # (-1)**j * (pre[q - j*r] - pre[q - (j+1)*r]), which regroups to
+    # pre[q] - 2 * alternating[r], alternating[r] = pre[q - r] - pre[q - 2r] + ..
+    steps = {w // g for w in weights} - {0}
+    if sum(q // r for r in steps) >= q:  # one-by-one reads would touch every field
+        counts = poly.to_bytes(q * nbytes, "little")
+        del poly, mask  # only the packed counts stay alive next to a block
+
+        def strided(pre: list[int], top: int, step: int) -> int:
+            """Sum of pre[top] + pre[top - step] + .. over indices >= 1."""
+            return sum(pre[(top - 1) % step + 1 : top + 1 : step]) if top > 0 else 0
+
+        fields = map(
+            int.from_bytes,
+            map(itemgetter(0), iter_unpack(f"{nbytes}s", counts)),
+            repeat("little"),
         )
+        alternating = dict.fromkeys(steps, 0)
+        base = carry = 0  # pre[0]
+        while base < q:
+            # pre[base + i] for i = 0 .. m, after the block's m counts
+            pre = list(accumulate(islice(fields, DP_BLOCK), initial=carry))
+            for r in alternating:
+                top = q - r - base
+                alternating[r] += strided(pre, top, 2 * r) - strided(pre, top - r, 2 * r)
+            base += len(pre) - 1
+            carry = pre[-1]
+            del pre  # before the next block is decoded
+        losing = carry  # pre[q]
+    else:
+        span = 1  # times 1 + x + .. + x**(2*span - 1): field s becomes pre[s + 1]
+        while span < q:
+            poly = (poly + (poly << span * bits)) & mask
+            span *= 2
+        packed = poly.to_bytes(q * nbytes, "little")
 
-    # The others' count in [q - r, q - 1] is the sum over j >= 0 of
-    # (-1)**j * (pre[q - j*r] - pre[q - (j+1)*r]), with pre[t] = 0 for t <= 0,
-    # which regroups to pre[q] + 2 * (sum over j >= 1 of (-1)**j * pre[q - j*r]).
-    losing = prefixes(q, q)
+        def prefixes(top: int, step: int) -> int:
+            """Sum of pre[top] + pre[top - step] + .. over t > 0, one field read each."""
+            return sum(
+                int.from_bytes(packed[end - nbytes : end], "little")
+                for end in range(top * nbytes, 0, -step * nbytes)
+            )
+
+        losing = prefixes(q, q)
+        alternating = {r: prefixes(q - r, 2 * r) - prefixes(q - 2 * r, 2 * r) for r in steps}
     by_weight = {0: 0}  # a weight-0 voter's window [q, q-1] is empty
     for w in set(weights) - {0}:
-        r = w // g
-        by_weight[w] = losing - 2 * (prefixes(q - r, 2 * r) - prefixes(q - 2 * r, 2 * r))
+        by_weight[w] = losing - 2 * alternating[w // g]
     return tuple(by_weight[w] for w in weights)
 
 

@@ -10,10 +10,11 @@ import time
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from banzhaf import (
@@ -29,7 +30,9 @@ from banzhaf import (
     tbp_oracle_dp,
     tbp_oracle_enum,
 )
+import banzhaf.power as power_module
 from banzhaf.power import (
+    DP_BLOCK,
     MAX_DP_BYTES,
     MAX_DP_WORK,
     MAX_ENUM_VOTERS,
@@ -161,6 +164,48 @@ def test_dp_kernel_matches_enumeration(system):
     assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
 
 
+def dp_case(quota, weights):
+    """The counts, and which window-sum case computed them: ``dense`` when
+    every field of the table was decoded, ``sparse`` when none was."""
+    with mock.patch.object(
+        power_module, "iter_unpack", wraps=power_module.iter_unpack
+    ) as decode_all:
+        counts = _dp_swing_counts(quota, weights)
+    return counts, "dense" if decode_all.called else "sparse"
+
+
+@st.composite
+def dense_dp_systems(draw):
+    # a weight-1 voter alone reads q prefix sums one by one
+    weights = draw(st.permutations(draw(st.lists(st.integers(0, 30), max_size=9)) + [1]))
+    return draw(st.integers(1, sum(weights))), tuple(weights)
+
+
+@st.composite
+def sparse_dp_systems(draw):
+    # a few co-prime values near 10**5 (each appears, zeros may join): about
+    # q / 10**4 reads per distinct weight, far fewer than q in all
+    values = draw(st.lists(st.integers(10**4, 10**5), min_size=2, max_size=4, unique=True))
+    assume(gcd(*values) == 1)
+    extra = draw(st.lists(st.sampled_from(values + [0]), max_size=12 - len(values)))
+    weights = draw(st.permutations(values + extra))
+    return draw(st.integers(1, sum(weights))), tuple(weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        dense_dp_systems().map(lambda system: ("dense", system)),
+        sparse_dp_systems().map(lambda system: ("sparse", system)),
+    )
+)
+def test_dp_kernel_matches_enumeration_in_both_cases(case_and_system):
+    case, (quota, weights) = case_and_system
+    counts, reached = dp_case(quota, weights)
+    assert reached == case
+    assert counts == _enum_swing_counts(quota, weights)
+
+
 @st.composite
 def large_weight_systems(draw):
     # a few values, zero among them, drawn with repeats: zero weights, equal
@@ -223,25 +268,62 @@ def test_analyze_of_24_distinct_weights_near_10_to_the_12():
     assert report.tbp == mitm_swings(system.quota, weights)
 
 
+DP_EDGE_CASES = [
+    (1, (0,) * 7 + (1,)),  # P[0] = 2**(n-1), the largest count a field holds
+    (1, (0,) * 15 + (1,)),
+    (1, (0,) * 6 + (1, 1)),
+    (2, (0,) * 6 + (1, 1)),
+    (5, (5, 7, 1, 2)),  # a weight >= q swings with every losing set of the others
+    (3, (9, 9, 9)),
+    (10, (1, 2, 3)),  # q > W: constant rule
+    (1, (4,)),  # n = 1
+    (5, (4,)),
+    (1, (0,)),
+    (3, (0, 0, 0)),  # all zero: gcd 0
+    (7, (6, 4, 2)),  # gcd 2, odd quota rounds up
+    (12, (10, 15, 5, 0)),
+    (20, (1, 2, 3, 4, 5, 6, 7, 8)),  # dense, q = 20: three blocks of 7
+    (30, (7, 11, 13, 17)),  # sparse
+]
+
+
 def test_dp_kernel_edge_cases():
-    cases = [
-        (1, (0,) * 7 + (1,)),  # P[0] = 2**(n-1), the largest count a field holds
-        (1, (0,) * 15 + (1,)),
-        (1, (0,) * 6 + (1, 1)),
-        (2, (0,) * 6 + (1, 1)),
-        (5, (5, 7, 1, 2)),  # a weight >= q swings with every losing set of the others
-        (3, (9, 9, 9)),
-        (10, (1, 2, 3)),  # q > W: constant rule
-        (1, (4,)),  # n = 1
-        (5, (4,)),
-        (1, (0,)),
-        (3, (0, 0, 0)),  # all zero: gcd 0
-        (7, (6, 4, 2)),  # gcd 2, odd quota rounds up
-        (12, (10, 15, 5, 0)),
-    ]
-    for quota, weights in cases:
+    for quota, weights in DP_EDGE_CASES:
         assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
     assert _dp_swing_counts(1, (0,) * 30 + (1,)) == (0,) * 30 + (1 << 30,)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_dp_kernel_across_blocks(monkeypatch, block):
+    weights = tuple(range(1, 31))
+    quota = sum(weights) // 2 + 1
+    whole = _dp_swing_counts(quota, weights)
+    assert DP_BLOCK > quota  # one block by default
+    monkeypatch.setattr(power_module, "DP_BLOCK", block)
+    for q, w in DP_EDGE_CASES:
+        assert _dp_swing_counts(q, w) == _enum_swing_counts(q, w)
+    assert dp_case(quota, weights) == (whole, "dense")
+    assert whole == mitm_swings(quota, weights)
+    assert _dp_swing_counts(15, (1,) * 30) == (comb(29, 14),) * 30
+
+
+def test_dp_dense_case_memory_stays_within_a_block():
+    # q = 120654 fields of 4 bytes: decoded as one list, about 40 bytes each
+    # (int and pointer), the peak would pass 10 * q * nbytes
+    rng = random.Random(5008)
+    weights = (1,) + tuple(10**4 + rng.randrange(100) for _ in range(24))
+    quota = sum(weights) // 2 + 1
+    nbytes = len(weights) // 8 + 1
+    assert quota > 3 * DP_BLOCK
+    tracemalloc.start()
+    try:
+        counts, case = dp_case(quota, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert case == "dense"
+    assert peak < 6 * quota * nbytes
+    assert counts == mitm_swings(quota, weights)
 
 
 def test_dp_kernel_refuses_huge_tables_without_allocating():
