@@ -5,7 +5,7 @@ function and computes each voter's total and normalized Banzhaf power from
 the weight of the function's Boolean difference, taken per node of its
 decision diagram up to 24 voters and by subset-sum counting beyond.  The
 cross-check compares those counts with the dense truth table's and with
-exhaustive-enumeration and subset-sum oracles.  Supporting machinery -
+meet-in-the-middle and subset-sum oracles.  Supporting machinery -
 dense truth tables, a sum-of-products algebra with sequential disjointing,
 and a characteristic-set calculus for symmetric functions - is exposed as a
 library; the ``banzhaf`` command wraps it for the command line.
@@ -19,7 +19,7 @@ library; the ``banzhaf`` command wraps it for the command line.
 from .power import (
     MAX_DP_BYTES,
     MAX_DP_WORK,
-    MAX_ENUM_VOTERS,
+    MAX_MITM_VOTERS,
     NoDecisiveVoterError,
     ORACLE_AUTO_LIMIT,
     OracleDisagreementError,
@@ -29,7 +29,7 @@ from .power import (
     normalize,
     tbp_all,
     tbp_oracle_dp,
-    tbp_oracle_enum,
+    tbp_oracle_mitm,
 )
 from .sop import (
     Cube,
@@ -57,8 +57,8 @@ __all__ = [
     "MAX_DISJOINT_CUBES",
     "MAX_DP_BYTES",
     "MAX_DP_WORK",
-    "MAX_ENUM_VOTERS",
     "MAX_IE_CUBES",
+    "MAX_MITM_VOTERS",
     "N_MAX",
     "NoDecisiveVoterError",
     "ORACLE_AUTO_LIMIT",
@@ -84,7 +84,7 @@ __all__ = [
     "sop_weight_real",
     "tbp_all",
     "tbp_oracle_dp",
-    "tbp_oracle_enum",
+    "tbp_oracle_mitm",
     "tt_to_minterm_sop",
 ]
 

@@ -8,11 +8,11 @@ takes that weight per node of the rule's decision diagram up to
 :data:`~banzhaf.truthtable.N_MAX` voters, and counts subset sums beyond.
 :func:`tbp_all` takes it on the dense truth table instead, and two
 independent oracles recompute the same number from the quota-and-weights
-description alone - one by direct enumeration of all vote configurations,
-one by subset-sum counting over the other voters.  Under its cross-check
-:func:`analyze` treats any disagreement among the four as a hard error.
-:func:`analyze` computes the count vector once per system; the dummies (zero
-counts) and the symmetry classes (equal counts) are read off it.
+description alone - one by meeting in the middle between the subset sums of
+two halves of the voters, one by subset-sum counting over the other voters.
+Under its cross-check :func:`analyze` treats any disagreement among the four
+as a hard error.  It computes the count vector once per system; the dummies
+(zero counts) and the symmetry classes (equal counts) are read off it.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -25,11 +25,12 @@ powers are unaffected by the convention, and a count divided by
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter
 from struct import iter_unpack
 from typing import Optional, Sequence
 
@@ -39,9 +40,9 @@ from .voting import Diagram, VotingSystem
 #: analyze() runs the oracle cross-check by default up to this arity.
 ORACLE_AUTO_LIMIT = 12
 
-#: Most voters the enumeration oracle takes: it walks all 2**n vote
-#: configurations, about 1 s and 55 MB at 20 voters, doubling per voter.
-MAX_ENUM_VOTERS = 20
+#: Most voters the meet-in-the-middle oracle takes: 2**16 subset sums per
+#: half at 32 voters, about 0.2 s.
+MAX_MITM_VOTERS = 32
 
 #: Largest packed subset-sum table, in bytes, that the subset-sum counter
 #: builds.  Its time and memory grow with this size, so inputs past it are
@@ -181,46 +182,47 @@ def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, total) for v in tbp_values)
 
 
-# -- enumeration oracle ---------------------------------------------------------
+# -- meet-in-the-middle oracle --------------------------------------------------
 
 
-def _enum_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
-    """Raw per-voter swing counts by walking all 2**n vote configurations.
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """The sums of all ``2**len(weights)`` subsets, by doubling."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
-    Pure threshold arithmetic on weighted sums; shares nothing with the
-    truth-table machinery.
+
+def _mitm_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
+    """Raw per-voter swing counts by meeting in the middle (Horowitz & Sahni, 1974).
+
+    The voters are cut by position into two halves.  A voter of weight ``w``
+    swings with the others of sum in ``[quota - w, quota - 1]``, so its count
+    is the sum, over the subset sums ``a`` of the rest of its half, of
+    ``losing(a) - losing(a + w)``: ``losing(a)`` counts the other half's
+    subset sums below ``quota - a``, one bisect per subset of a half.  Pure
+    threshold arithmetic; it shares nothing with the diagram, table or DP.
+    Raises ``ValueError`` past :data:`MAX_MITM_VOTERS`, before allocating.
     """
     n = len(weights)
-    size = 1 << n
-    sums = [0] * size
-    for j in range(1, size):
-        low = j & -j
-        sums[j] = sums[j ^ low] + weights[n - low.bit_length()]
-    counts = [0] * n
-    for j in range(size):
-        s = sums[j]
-        if s >= quota:
-            m = j
-            while m:
-                low = m & -m
-                m ^= low
-                k = n - low.bit_length()
-                if s - weights[k] < quota:
-                    counts[k] += 1
+    if n > MAX_MITM_VOTERS:
+        raise ValueError(f"{n} voters exceed MAX_MITM_VOTERS = {MAX_MITM_VOTERS}")
+    halves = (weights[: n // 2], weights[n // 2 :])
+    counts: list[int] = []
+    for own, other in (halves, halves[::-1]):
+        sums = sorted(_subset_sums(other))
+        # losing(a) per subset of own: bit j of its index is set when own[j] votes yes
+        losing = list(map(bisect_left, repeat(sums), [quota - a for a in _subset_sums(own)]))
+        for _ in own:  # own[j] is bit 0 now: each subset without it, then with it
+            without, with_ = losing[::2], losing[1::2]
+            counts.append(sum(without) - sum(with_))
+            losing = list(map(add, without, with_))  # own[j]'s vote summed out
     return tuple(counts)
 
 
-def tbp_oracle_enum(system: VotingSystem) -> tuple[int, ...]:
-    """Independent swing counts of all voters by exhaustive enumeration.
-
-    Raises ``ValueError`` beyond :data:`MAX_ENUM_VOTERS` voters.
-    """
-    if system.n > MAX_ENUM_VOTERS:
-        raise ValueError(
-            f"enumeration oracle limited to MAX_ENUM_VOTERS = {MAX_ENUM_VOTERS} voters, "
-            f"got {system.n}"
-        )
-    return _essential(_enum_swing_counts(system.quota, system.weights))
+def tbp_oracle_mitm(system: VotingSystem) -> tuple[int, ...]:
+    """Independent swing counts by meeting in the middle, up to :data:`MAX_MITM_VOTERS` voters."""
+    return _essential(_mitm_swing_counts(system.quota, system.weights))
 
 
 # -- subset-sum oracle -----------------------------------------------------------
@@ -243,15 +245,15 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
 
     Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes, after
     the gcd reduction, then the window sums.  Those read about ``q / w``
-    prefix sums per distinct weight, ``sum(q // w)`` in all.  When that is
-    at least ``q`` (the dense case) every count is decoded once,
-    :data:`DP_BLOCK` at a time, accumulated into prefix sums, and each window
-    sum is a C-level strided slice of the block; otherwise the same
-    shift-and-add turns the packed counts into prefix sums in ``log2(q)``
-    more passes and each prefix sum is read on its own.  Either way
-    ``min(sum(q // w), q)`` fields are decoded, and nothing proportional to
-    the total weight is allocated.  Raises ``ValueError`` past
-    :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.
+    prefix sums per distinct weight, ``sum(q // w)`` in all.  A lone read
+    costs about three decoded fields, so from ``q / 3`` reads on (the dense
+    case) every count is decoded once, :data:`DP_BLOCK` at a time, summed
+    into prefix sums, and each window sum is a C-level strided slice of the
+    block; otherwise the same shift-and-add turns the packed counts into
+    prefix sums in ``log2(q)`` more passes and each is read on its own.  At
+    most ``min(3 * sum(q // w), q)`` fields are decoded, and nothing
+    proportional to the total weight is allocated.  Raises ``ValueError``
+    past :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.
     """
     n = len(weights)
     if quota > sum(weights):  # nobody wins, so nobody swings (all-zero weights too)
@@ -284,7 +286,7 @@ def _dp_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     # (-1)**j * (pre[q - j*r] - pre[q - (j+1)*r]), which regroups to
     # pre[q] - 2 * alternating[r], alternating[r] = pre[q - r] - pre[q - 2r] + ..
     steps = {w // g for w in weights} - {0}
-    if sum(q // r for r in steps) >= q:  # one-by-one reads would touch every field
+    if 3 * sum(q // r for r in steps) >= q:  # a lone read costs ~3 decoded fields
         counts = poly.to_bytes(q * nbytes, "little")
         del poly, mask  # only the packed counts stay alive next to a block
 
@@ -354,19 +356,18 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     when it is constant.  By default up to :data:`ORACLE_AUTO_LIMIT` voters
     (`verify` overrides this either way) the table is folded from the same
     diagram, and four count sources must agree: the diagram, the table's
-    Boolean-difference weights (:func:`tbp_all`), enumeration and subset-sum
-    counting.  The dummies, classes and findings are checked against the
-    table's vacuity, transposition, monotonicity and causality tests and its
-    weight.  ``verify=True`` beyond :data:`MAX_ENUM_VOTERS` voters raises
-    ``ValueError`` at once.
+    Boolean-difference weights (:func:`tbp_all`), meet-in-the-middle and
+    subset-sum counting.  The dummies, classes and findings are checked
+    against the table's vacuity, transposition, monotonicity and causality
+    tests and its weight.  ``verify=True`` beyond :data:`~banzhaf.truthtable.N_MAX` voters,
+    where there is no table to check against, raises ``ValueError`` at once.
     """
     n = system.n
     if verify is None:
         verify = n <= ORACLE_AUTO_LIMIT
-    if verify and n > MAX_ENUM_VOTERS:
+    if verify and n > N_MAX:
         raise ValueError(
-            f"the cross-check enumerates all 2**n vote configurations, so at most "
-            f"MAX_ENUM_VOTERS = {MAX_ENUM_VOTERS} voters; pass verify=False for {n}"
+            f"verify needs a truth table, at most N_MAX = {N_MAX} voters: pass verify=False for {n}"
         )
     quota, weights, total = system.quota, system.weights, system.total_weight
     # non-negative weights can only help a bill, and the empty coalition loses
@@ -379,12 +380,12 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)
 
-    if verify:  # so n <= MAX_ENUM_VOTERS < N_MAX, and the diagram exists
+    if verify:  # so n <= N_MAX, and the diagram exists
         table = diagram.to_table()
         sources = {
             "diagram": tbp_vec,
             "table": tbp_all(table, _groups(weights)),
-            "enumeration": tbp_oracle_enum(system),
+            "meet-in-the-middle": tbp_oracle_mitm(system),
             "subset-sum": tbp_oracle_dp(system),
         }
         # One transposition per class member after the first, n - k in all,
@@ -392,13 +393,12 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
         # - same class => symmetric: symmetry under a transposition of two
         #   variables is an equivalence relation, so members symmetric with
         #   their class's first member are symmetric with each other;
-        # - symmetric => same class: enumeration counts voters of equal
-        #   weight alike, so each group of equal weights lies in one class,
-        #   and by the above its members are symmetric with the one that
-        #   tbp_all differentiated.  Symmetric variables have equal
-        #   difference weights, so once the sources agree, each voter's count
-        #   is its own halved difference weight, and symmetric voters have
-        #   equal counts.
+        # - symmetric => same class: the table's source gives each group of
+        #   equal weights one count, so once the sources agree each such group
+        #   lies in one class, and by the above its members are symmetric with
+        #   the one tbp_all differentiated.  Symmetric variables have equal
+        #   difference weights, so each voter's count is its own halved
+        #   difference weight, and symmetric voters have equal counts.
         if not (
             len(set(sources.values())) == 1
             and checks

@@ -26,10 +26,11 @@ from banzhaf import (
     sop_weight_real,
     tbp_all,
     tbp_oracle_dp,
-    tbp_oracle_enum,
+    tbp_oracle_mitm,
     tt_to_minterm_sop,
 )
 from banzhaf.truthtable import _zero_masks
+from reference import enum_tbp
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -102,7 +103,7 @@ def test_criterion_03_two_of_three_example():
     assert SymFn(3, {2, 3}).tbp() == 2
     assert tbp_all(table) == (2, 2, 2)
     system = VotingSystem(2, (1, 1, 1))
-    assert tbp_oracle_enum(system) == (2, 2, 2) == tbp_oracle_dp(system)
+    assert tbp_oracle_mitm(system) == (2, 2, 2) == tbp_oracle_dp(system)
 
 
 @criterion(4, "four-variable xor-of-products fixture has weight 7 both ways")
@@ -124,7 +125,7 @@ def test_criterion_04_xor_fixture():
     assert sorted(pieces) == [1, 2, 2, 2] and sum(pieces) == 7
 
 
-@criterion(5, "oracle triangle on 1000 random systems, < 30 s")
+@criterion(5, "derivative = mitm = subset-sum = enumeration on 1000 systems, < 30 s")
 def test_criterion_05_oracle_triangle():
     rng = random.Random(20260808)
     _clear_caches()
@@ -135,7 +136,7 @@ def test_criterion_05_oracle_triangle():
         quota = rng.randint(1, sum(weights) + 2)
         system = VotingSystem(quota, weights)
         derivative = tbp_all(system.to_table())
-        assert derivative == tbp_oracle_enum(system) == tbp_oracle_dp(system)
+        assert derivative == tbp_oracle_mitm(system) == tbp_oracle_dp(system) == enum_tbp(system)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"suite took {elapsed:.1f} s"
 

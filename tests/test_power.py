@@ -1,7 +1,8 @@
 """Power engine: derivative path, the two oracles, normalization, analyze().
 
-`ref_swings` is a third, test-local implementation of swing counting (direct
-row walking plus explicit dummy reduction) so the package's three routes are
+`ref_swings` (direct row walking plus explicit dummy reduction) and
+`reference.enum_swing_counts` (all 2**n vote configurations, raw counts) are
+test-local implementations of swing counting, so the package's routes are
 checked against something none of them share code with.
 """
 
@@ -14,7 +15,7 @@ from math import comb, gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from banzhaf import (
@@ -28,19 +29,21 @@ from banzhaf import (
     normalize,
     tbp_all,
     tbp_oracle_dp,
-    tbp_oracle_enum,
+    tbp_oracle_mitm,
 )
 import banzhaf.power as power_module
 from banzhaf.power import (
     DP_BLOCK,
     MAX_DP_BYTES,
     MAX_DP_WORK,
-    MAX_ENUM_VOTERS,
+    MAX_MITM_VOTERS,
     _dd_swing_counts,
     _dp_swing_counts,
-    _enum_swing_counts,
+    _mitm_swing_counts,
 )
+from banzhaf.truthtable import N_MAX
 from banzhaf.voting import Diagram
+from reference import enum_swing_counts
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -127,16 +130,31 @@ def test_normalize_rejects_all_zero():
 
 
 def test_enum_oracle_values():
-    assert tbp_oracle_enum(EEC) == (5, 5, 5, 3, 3, 0)
-    assert tbp_oracle_enum(EEEC) == (53, 53, 53, 53, 29, 29, 21, 21, 5)
-    with pytest.raises(ValueError, match="MAX_ENUM_VOTERS"):
-        tbp_oracle_enum(VotingSystem(11, (1,) * (MAX_ENUM_VOTERS + 1)))
+    assert tbp_oracle_mitm(EEC) == (5, 5, 5, 3, 3, 0)
+    assert tbp_oracle_mitm(EEEC) == (53, 53, 53, 53, 29, 29, 21, 21, 5)
+    with pytest.raises(ValueError, match="MAX_MITM_VOTERS"):
+        tbp_oracle_mitm(VotingSystem(11, (1,) * (MAX_MITM_VOTERS + 1)))
 
 
 def test_enum_oracle_k_out_of_n_closed_form():
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert tbp_oracle_enum(VotingSystem(k, (1,) * n)) == (comb(n - 1, k - 1),) * n
+            assert tbp_oracle_mitm(VotingSystem(k, (1,) * n)) == (comb(n - 1, k - 1),) * n
+
+
+def test_mitm_oracle_refuses_past_its_cap_without_allocating():
+    system = VotingSystem(17, (1,) * (MAX_MITM_VOTERS + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_MITM_VOTERS"):
+            tbp_oracle_mitm(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # refused before any subset sum is listed
+    assert MAX_MITM_VOTERS == 32
+    at_cap = VotingSystem(17, (1,) * MAX_MITM_VOTERS)
+    assert tbp_oracle_mitm(at_cap) == (comb(MAX_MITM_VOTERS - 1, 16),) * MAX_MITM_VOTERS
 
 
 def test_dp_oracle_values():
@@ -161,7 +179,7 @@ def small_systems(draw):
 @given(small_systems())
 def test_dp_kernel_matches_enumeration(system):
     quota, weights = system
-    assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
+    assert _dp_swing_counts(quota, weights) == enum_swing_counts(quota, weights)
 
 
 def dp_case(quota, weights):
@@ -203,7 +221,7 @@ def test_dp_kernel_matches_enumeration_in_both_cases(case_and_system):
     case, (quota, weights) = case_and_system
     counts, reached = dp_case(quota, weights)
     assert reached == case
-    assert counts == _enum_swing_counts(quota, weights)
+    assert counts == enum_swing_counts(quota, weights)
 
 
 @st.composite
@@ -220,7 +238,20 @@ def large_weight_systems(draw):
 def test_diagram_counts_match_enumeration(system):
     quota, weights = system
     diagram = VotingSystem(quota, weights).diagram()
-    assert _dd_swing_counts(diagram) == _enum_swing_counts(quota, weights)
+    assert _dd_swing_counts(diagram) == enum_swing_counts(quota, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_weight_systems())
+@example((1, (0,)))  # n = 1: one empty half
+@example((5, (4,)))
+@example((4, (4,)))
+@example((10**12, (10**12, 0, 10**12)))  # odd n, a zero between equal weights
+@example((3, (2, 2, 1, 0, 1)))
+@example((7, (1, 2, 3)))  # quota past the total
+def test_mitm_counts_match_enumeration(system):
+    quota, weights = system
+    assert _mitm_swing_counts(quota, weights) == enum_swing_counts(quota, weights)
 
 
 def test_analyze_without_verify_builds_no_table(monkeypatch):
@@ -289,7 +320,7 @@ DP_EDGE_CASES = [
 
 def test_dp_kernel_edge_cases():
     for quota, weights in DP_EDGE_CASES:
-        assert _dp_swing_counts(quota, weights) == _enum_swing_counts(quota, weights)
+        assert _dp_swing_counts(quota, weights) == enum_swing_counts(quota, weights)
     assert _dp_swing_counts(1, (0,) * 30 + (1,)) == (0,) * 30 + (1 << 30,)
 
 
@@ -301,7 +332,7 @@ def test_dp_kernel_across_blocks(monkeypatch, block):
     assert DP_BLOCK > quota  # one block by default
     monkeypatch.setattr(power_module, "DP_BLOCK", block)
     for q, w in DP_EDGE_CASES:
-        assert _dp_swing_counts(q, w) == _enum_swing_counts(q, w)
+        assert _dp_swing_counts(q, w) == enum_swing_counts(q, w)
     assert dp_case(quota, weights) == (whole, "dense")
     assert whole == mitm_swings(quota, weights)
     assert _dp_swing_counts(15, (1,) * 30) == (comb(29, 14),) * 30
@@ -384,7 +415,7 @@ def test_oracle_triangle_on_random_systems():
         system = VotingSystem(rng.randint(1, sum(weights) + 2), weights)
         expected = ref_swings(system)
         assert tbp_all(system.to_table()) == expected
-        assert tbp_oracle_enum(system) == expected
+        assert tbp_oracle_mitm(system) == expected
         assert tbp_oracle_dp(system) == expected
 
 
@@ -435,7 +466,7 @@ def test_analyze_verify_flag():
 
 
 def test_analyze_refuses_verify_past_the_enumeration_limit():
-    system = VotingSystem(11, (1,) * (MAX_ENUM_VOTERS + 1))
+    system = VotingSystem(13, (1,) * (N_MAX + 1))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="verify=False"):
@@ -443,8 +474,19 @@ def test_analyze_refuses_verify_past_the_enumeration_limit():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 16  # refused before any table or enumeration is built
-    assert analyze(system, verify=False).tbp == (comb(MAX_ENUM_VOTERS, 10),) * 21
+    assert peak < 1 << 16  # refused before any table, diagram or oracle is built
+    assert analyze(system, verify=False).tbp == (comb(N_MAX, 12),) * 25
+
+
+@pytest.mark.parametrize("n, top", [(22, 100), (24, 1000)])
+def test_analyze_verifies_up_to_the_table_limit(n, top):
+    rng = random.Random(5009 + n)
+    weights = tuple(rng.randint(1, top) for _ in range(n))
+    system = VotingSystem(sum(weights) // 2 + 1, weights)
+    start = time.perf_counter()
+    report = analyze(system, verify=True)
+    assert time.perf_counter() - start < 5.0
+    assert report.oracle_verified
 
 
 def test_analyze_scale_invariant_reports():
@@ -536,7 +578,7 @@ def test_symmetric_closed_form_against_analysis():
 def test_oracle_disagreement_is_raised(monkeypatch):
     import banzhaf.power as power_module
 
-    monkeypatch.setattr(power_module, "_enum_swing_counts", lambda q, w: (99, 99))
+    monkeypatch.setattr(power_module, "_mitm_swing_counts", lambda q, w: (99, 99))
     with pytest.raises(OracleDisagreementError):
         analyze(VotingSystem(2, (1, 1)))
 
