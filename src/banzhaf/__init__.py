@@ -32,7 +32,6 @@ from .power import (
     tbp_oracle_mitm,
 )
 from .sop import (
-    Cube,
     MAX_DISJOINT_CUBES,
     MAX_IE_CUBES,
     SopExpr,
@@ -53,7 +52,6 @@ from .truthtable import N_MAX, TruthTable
 from .voting import VotingSystem
 
 __all__ = [
-    "Cube",
     "MAX_DISJOINT_CUBES",
     "MAX_DP_BYTES",
     "MAX_DP_WORK",

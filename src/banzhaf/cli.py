@@ -213,12 +213,12 @@ def format_sop(expr: SopExpr, names: Sequence[str]) -> str:
     if not expr.cubes:
         return "0"
     parts = []
-    for cube in expr.cubes:
+    for pos, neg in expr.cubes:
         lits = []
         for i in range(1, expr.n + 1):
-            if i in cube.pos:
+            if pos >> i & 1:
                 lits.append(names[i - 1])
-            elif i in cube.neg:
+            elif neg >> i & 1:
                 lits.append(names[i - 1] + "'")
         parts.append(" ".join(lits) if lits else "1")
     return " | ".join(parts)

@@ -1,10 +1,13 @@
-"""Cube and sum-of-products algebra with three independent weight methods.
+"""Sum-of-products algebra on literal bit masks, with three independent weight methods.
 
-A :class:`Cube` is a product term held as two index sets (uncomplemented and
-complemented literals); a :class:`SopExpr` is an ordered OR of cubes over a
-fixed variable count, carrying a certificate flag that says whether the cubes
-are pairwise disjoint.  Disjointness is what makes weights (and probabilities)
-add term-wise, so most of this module is about producing or exploiting it:
+A cube (product term) is a pair of bit masks ``(pos, neg)`` with bit i for
+``X_i``: `pos` holds the uncomplemented literals and `neg` the complemented
+ones.  A conjunction is one OR per side, a contradiction is ``pos & neg`` and
+the literal count is ``(pos | neg).bit_count()``.  A :class:`SopExpr` is an
+ordered OR of cubes over variables ``1..n``, carrying a certificate flag that
+says whether the cubes are pairwise disjoint.  Disjointness is what makes
+weights (and probabilities) add term-wise, so most of this module is about
+producing or exploiting it:
 
 * :func:`make_disjoint` - sequential disjointing: each cube is multiplied by
   the expanded complements of all cubes before it, except that a piece which
@@ -19,10 +22,8 @@ add term-wise, so most of this module is about producing or exploiting it:
   with the function on 0/1 inputs; its value at the all-1/2 point times
   ``2**n`` recovers the weight exactly.
 
-The two exponential kernels work on literal bit masks ``(pos, neg)`` with
-bit i for ``X_i``: a conjunction is one OR per side and a clash is
-``pos & neg``.  Cubes are converted once on the way in and once on the way
-out.
+The parser ORs literal bits straight into the pairs, and every function here
+reads them as they are, so a cube is never held in any other form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .truthtable import N_MAX, TruthTable
+from .truthtable import N_MAX, TruthTable, _var_zero_mask
 
 #: Inclusion-exclusion visits up to every cube subset; refuse anything bigger.
 MAX_IE_CUBES = 20
@@ -52,77 +53,48 @@ class SopSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Cube:
-    """A product term: `pos` holds uncomplemented, `neg` complemented indices."""
-
-    pos: frozenset[int]
-    neg: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", frozenset(self.pos))
-        object.__setattr__(self, "neg", frozenset(self.neg))
-        clash = self.pos & self.neg
-        if clash:
-            raise ValueError(f"contradictory literals for variable(s) {sorted(clash)}")
-
-    @property
-    def literal_count(self) -> int:
-        return len(self.pos) + len(self.neg)
-
-    def clashes(self, other: "Cube") -> bool:
-        """True iff the two products cannot be simultaneously 1."""
-        return bool(self.pos & other.neg or self.neg & other.pos)
-
-
-def cube_weight(cube: Cube, n: int) -> int:
-    """Number of rows a single cube covers: ``2**(n - literal_count)``."""
-    free = n - cube.literal_count
+def cube_weight(cube: tuple[int, int], n: int) -> int:
+    """Number of rows a single ``(pos, neg)`` cube covers: ``2**(n - literals)``."""
+    pos, neg = cube
+    free = n - (pos | neg).bit_count()
     if free < 0:
         raise ValueError(f"cube uses more than {n} distinct variables")
     return 1 << free
 
 
-def _masks(cube: Cube) -> tuple[int, int]:
-    """The cube's literals as bit masks ``(pos, neg)``, bit i for ``X_i``."""
-    return sum(1 << i for i in cube.pos), sum(1 << i for i in cube.neg)
-
-
-def _indices(mask: int) -> frozenset[int]:
-    """The variable indices whose bits are set in `mask`."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SopExpr:
-    """Ordered OR of cubes over variables ``1..n`` with a disjointness flag."""
+    """Ordered OR of ``(pos, neg)`` cubes over variables ``1..n`` with a disjointness flag."""
 
     n: int
-    cubes: tuple[Cube, ...]
+    cubes: tuple[tuple[int, int], ...]
     disjoint: bool = field(default=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cubes", tuple(self.cubes))
-        for c in self.cubes:
-            for i in c.pos | c.neg:
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"variable index {i} out of range 1..{self.n}")
+        cubes = tuple(self.cubes)
+        object.__setattr__(self, "cubes", cubes)
+        used = 0
+        for pos, neg in cubes:
+            clash = pos & neg
+            if clash:
+                indices = [i for i in range(clash.bit_length()) if clash >> i & 1]
+                raise ValueError(f"contradictory literals for variable(s) {indices}")
+            used |= pos | neg
+        outside = used & ~(((1 << self.n) - 1) << 1)  # bit 0 and bits above n
+        if outside:
+            i = (outside & -outside).bit_length() - 1
+            raise ValueError(f"variable index {i} out of range 1..{self.n}")
 
     @classmethod
-    def from_cubes(cls, n: int, cubes: Sequence[Cube]) -> "SopExpr":
+    def from_cubes(cls, n: int, cubes: Sequence[tuple[int, int]]) -> "SopExpr":
         """Build an expression, computing the disjointness certificate."""
         expr = cls(n, tuple(cubes), disjoint=False)
         return cls(n, expr.cubes, disjoint=expr.verify_disjoint())
 
     def verify_disjoint(self) -> bool:
         """Pairwise check that every two cubes clash on some variable."""
-        for a, b in combinations(self.cubes, 2):
-            if not a.clashes(b):
+        for (ap, aq), (bp, bq) in combinations(self.cubes, 2):
+            if not (ap & bq or aq & bp):
                 return False
         return True
 
@@ -168,9 +140,8 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     n = len(index)
 
     tokens = [(m.group(0), m.start()) for m in _TOKEN.finditer(text)]
-    cubes: list[Cube] = []
-    pos: set[int] = set()
-    neg: set[int] = set()
+    cubes: list[tuple[int, int]] = []
+    pos = neg = 0
     term_open = False  # a literal has been read since the last '|'
     pending_and = False  # an '&' is waiting for its right operand
     k = 0
@@ -181,8 +152,8 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
                 raise SopSyntaxError("'&' without a right operand", at)
             if not term_open:
                 raise SopSyntaxError("empty product term", at)
-            cubes.append(Cube(frozenset(pos), frozenset(neg)))
-            pos, neg = set(), set()
+            cubes.append((pos, neg))
+            pos = neg = 0
             term_open = False
         elif tok == "&":
             if not term_open:
@@ -193,14 +164,16 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
         elif _NAME.fullmatch(tok):
             if tok not in index:
                 raise SopSyntaxError(f"unknown variable name {tok!r}", at)
-            v = index[tok]
-            complemented = False
+            bit = 1 << index[tok]
             if k + 1 < len(tokens) and tokens[k + 1] == ("'", at + len(tok)):
-                complemented = True
                 k += 1
-            if v in (pos if complemented else neg):
-                raise SopSyntaxError("contradictory product", at)
-            (neg if complemented else pos).add(v)
+                if pos & bit:
+                    raise SopSyntaxError("contradictory product", at)
+                neg |= bit
+            else:
+                if neg & bit:
+                    raise SopSyntaxError("contradictory product", at)
+                pos |= bit
             term_open = True
             pending_and = False
         else:
@@ -210,7 +183,7 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     if pending_and:
         raise SopSyntaxError("'&' without a right operand", len(text))
     if term_open:
-        cubes.append(Cube(frozenset(pos), frozenset(neg)))
+        cubes.append((pos, neg))
     elif cubes:
         raise SopSyntaxError("trailing '|' without a term", len(text))
     return SopExpr.from_cubes(n, cubes)
@@ -248,33 +221,33 @@ def _times_complement(p: int, q: int, bp: int, bq: int) -> list[tuple[int, int]]
 def make_disjoint(expr: SopExpr) -> SopExpr:
     """Rewrite an SOP as an equivalent disjoint one by sequential disjointing.
 
-    Cube k is replaced by its products with the expanded complements of cubes
-    1..k-1, in list order; no reordering heuristic is applied, so the output
-    is deterministic.  A piece that already clashes with a blocker avoids it
-    and is kept whole, not cut at each of the blocker's literals before the
-    clash, so later blockers multiply one piece instead of several.
+    The k-th cube is replaced by its products with the expanded complements
+    of cubes 1..k-1, in list order; no reordering heuristic is applied, so
+    the output is deterministic.  A piece that already clashes with a
+    blocker avoids it and is kept whole, not cut at each of the blocker's
+    literals before the clash, so later blockers multiply one piece instead
+    of several.
     Already-disjoint input (including any single cube) is returned
     unchanged.  Raises ``ValueError`` as soon as the cubes produced would
     exceed :data:`MAX_DISJOINT_CUBES`.
     """
     if expr.disjoint:
         return expr
-    masks = [_masks(c) for c in expr.cubes]
+    cubes = expr.cubes
     out: list[tuple[int, int]] = []
-    for k, cube in enumerate(masks):
+    for k, cube in enumerate(cubes):
         fragments = [cube]
-        for bp, bq in masks[:k]:
+        for bp, bq in cubes[:k]:
             fragments = [piece for p, q in fragments for piece in _times_complement(p, q, bp, bq)]
             if not fragments:
                 break
             if len(out) + len(fragments) > MAX_DISJOINT_CUBES:
                 raise ValueError(
-                    f"disjointing cube {k + 1} of {len(expr.cubes)} passes "
+                    f"disjointing cube {k + 1} of {len(cubes)} passes "
                     f"MAX_DISJOINT_CUBES = {MAX_DISJOINT_CUBES} cubes"
                 )
         out.extend(fragments)
-    cubes = tuple(Cube(_indices(p), _indices(q)) for p, q in out)
-    return SopExpr(expr.n, cubes, disjoint=True)
+    return SopExpr(expr.n, tuple(out), disjoint=True)
 
 
 # -- weight computation ------------------------------------------------------
@@ -284,7 +257,8 @@ def sop_weight_disjoint(expr: SopExpr) -> int:
     """Weight of a certified-disjoint SOP: cube weights simply add."""
     if not expr.disjoint:
         raise ValueError("expression is not certified disjoint; run make_disjoint first")
-    return sum(cube_weight(c, expr.n) for c in expr.cubes)
+    n = expr.n  # SopExpr holds no cube with more than n literals
+    return sum(1 << (n - (p | q).bit_count()) for p, q in expr.cubes)
 
 
 def sop_weight_ie(expr: SopExpr) -> int:
@@ -298,10 +272,10 @@ def sop_weight_ie(expr: SopExpr) -> int:
     The cost is the number of subsets that do not clash: ``2**m - 1`` when
     no two of the m cubes clash, hence the hard cap.
     """
-    m = len(expr.cubes)
+    cubes = expr.cubes
+    m = len(cubes)
     if m > MAX_IE_CUBES:
         raise ValueError(f"inclusion-exclusion limited to {MAX_IE_CUBES} cubes, got {m}")
-    masks = [_masks(c) for c in expr.cubes]
     n = expr.n
     total = 0
     # (first cube the subset may add, its pos and neg masks, sign one cube larger)
@@ -309,7 +283,7 @@ def sop_weight_ie(expr: SopExpr) -> int:
     while stack:
         start, p, q, sign = stack.pop()
         for j in range(start, m):
-            cp, cq = masks[j]
+            cp, cq = cubes[j]
             jp, jq = p | cp, q | cq
             if jp & jq:
                 continue
@@ -335,12 +309,13 @@ def real_transform_eval(expr: SopExpr, p: Sequence) -> "Fraction | float":
         if not 0 <= v <= 1:
             raise ValueError(f"probability {v!r} outside [0, 1]")
     total = 0
-    for cube in expr.cubes:
+    for pos, neg in expr.cubes:
         term = 1
-        for i in cube.pos:
-            term = term * p[i - 1]
-        for i in cube.neg:
-            term = term * (1 - p[i - 1])
+        for i in range(1, expr.n + 1):
+            if pos >> i & 1:
+                term = term * p[i - 1]
+            elif neg >> i & 1:
+                term = term * (1 - p[i - 1])
         total = total + term
     return total
 
@@ -357,18 +332,34 @@ def sop_weight_real(expr: SopExpr) -> int:
 
 
 def sop_to_tt(expr: SopExpr) -> TruthTable:
-    """Dense truth table of an SOP (any overlap allowed)."""
-    if expr.n > N_MAX:
-        raise ValueError(f"arity {expr.n} exceeds dense-table limit {N_MAX}")
-    result = TruthTable.constant(expr.n, 0)
-    for cube in expr.cubes:
-        term = TruthTable.constant(expr.n, 1)
-        for i in cube.pos:
-            term = term & TruthTable.variable(expr.n, i)
-        for i in cube.neg:
-            term = term & ~TruthTable.variable(expr.n, i)
-        result = result | term
-    return result
+    """Dense truth table of an SOP (any overlap allowed).
+
+    Each cube is ANDed from the shared X_i = 0 row masks of
+    ``truthtable``, so no table is built per literal or per variable: a
+    complemented literal keeps the rows in its mask, an uncomplemented one
+    drops them.
+    """
+    n = expr.n
+    if n > N_MAX:
+        raise ValueError(f"arity {n} exceeds dense-table limit {N_MAX}")
+    used = 0
+    for p, q in expr.cubes:
+        used |= p | q
+    zero = {1 << i: _var_zero_mask(n - i, n) for i in range(1, n + 1) if used >> i & 1}
+    full = (1 << (1 << n)) - 1
+    bits = 0
+    for p, q in expr.cubes:
+        term = full
+        while p:
+            low = p & -p
+            p ^= low
+            term ^= term & zero[low]
+        while q:
+            low = q & -q
+            q ^= low
+            term &= zero[low]
+        bits |= term
+    return TruthTable(n, bits)
 
 
 def tt_to_minterm_sop(table: TruthTable) -> SopExpr:
@@ -382,12 +373,13 @@ def tt_to_minterm_sop(table: TruthTable) -> SopExpr:
         raise ValueError(
             f"{table.weight()} minterms pass MAX_DISJOINT_CUBES = {MAX_DISJOINT_CUBES}"
         )
+    every = ((1 << n) - 1) << 1
     cubes = []
     bits = table.bits
     while bits:
         low = bits & -bits
         bits ^= low
         j = low.bit_length() - 1
-        pos = frozenset(i for i in range(1, n + 1) if (j >> (n - i)) & 1)
-        cubes.append(Cube(pos, frozenset(range(1, n + 1)) - pos))
+        pos = sum(1 << i for i in range(1, n + 1) if (j >> (n - i)) & 1)
+        cubes.append((pos, every ^ pos))
     return SopExpr(n, tuple(cubes), disjoint=True)

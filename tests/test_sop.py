@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banzhaf import (
-    Cube,
     MAX_DISJOINT_CUBES,
     SopExpr,
     SopSyntaxError,
@@ -26,6 +25,7 @@ from banzhaf import (
     sop_weight_real,
     tt_to_minterm_sop,
 )
+from banzhaf.cli import format_sop
 
 XYZ = ["X1", "X2", "X3"]
 TWO_OF_THREE = "X1 X2 | X2 X3 | X1 X3"
@@ -33,8 +33,17 @@ EEC_NAMES = ["F", "G", "I", "B", "N", "L"]
 EEC_SOP = "F G I | F G B N | F I B N | G I B N"
 
 
+def cube(pos=(), neg=()):
+    """The ``(pos, neg)`` literal masks of a cube given as variable index sets."""
+    return sum(1 << i for i in set(pos)), sum(1 << i for i in set(neg))
+
+
+def indices(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def cubes_as_sets(expr):
-    return [(set(c.pos), set(c.neg)) for c in expr.cubes]
+    return [(indices(p), indices(q)) for p, q in expr.cubes]
 
 
 # -- parsing -------------------------------------------------------------------
@@ -122,26 +131,39 @@ def test_duplicate_or_invalid_names_rejected():
 
 
 def test_cube_rejects_contradiction():
-    with pytest.raises(ValueError):
-        Cube(frozenset({1}), frozenset({1}))
+    with pytest.raises(ValueError, match=r"contradictory literals for variable\(s\) \[1\]"):
+        SopExpr(1, (cube({1}, {1}),))
+
+
+def test_sop_expr_refuses_bits_outside_its_variables():
+    # bit 0 would be X_0, which does not exist
+    with pytest.raises(ValueError, match=r"variable index 0 out of range 1\.\.3"):
+        SopExpr(3, (cube({1}), (0b1, 0)))
+    with pytest.raises(ValueError, match=r"variable index 0 out of range 1\.\.3"):
+        SopExpr(3, ((0, 0b1),))
+    # bit n+1 is one variable past the last
+    with pytest.raises(ValueError, match=r"variable index 4 out of range 1\.\.3"):
+        SopExpr(3, (cube({1}, {4}),))
+    with pytest.raises(ValueError, match=r"variable index 4 out of range 1\.\.3"):
+        SopExpr.from_cubes(3, (cube({2}), cube({4})))
+    # a clash anywhere is refused, also in a cube past an in-range one
+    with pytest.raises(ValueError, match=r"contradictory literals for variable\(s\) \[2, 3\]"):
+        SopExpr(3, (cube({1}), cube({2, 3}, {2, 3})))
+    assert SopExpr(3, (cube({1, 3}, {2}),)).cubes == ((0b1010, 0b0100),)
 
 
 def test_cube_weight_examples():
-    assert cube_weight(Cube(frozenset({1, 2}), frozenset()), 3) == 2
-    assert cube_weight(Cube(frozenset(), frozenset()), 4) == 16
-    assert cube_weight(Cube(frozenset({1, 3}), frozenset({2})), 3) == 1
+    assert cube_weight(cube({1, 2}), 3) == 2
+    assert cube_weight(cube(), 4) == 16
+    assert cube_weight(cube({1, 3}, {2}), 3) == 1
     with pytest.raises(ValueError):
-        cube_weight(Cube(frozenset({1, 2}), frozenset({3})), 2)
+        cube_weight(cube({1, 2}, {3}), 2)
 
 
 def test_certificate_is_computed_and_sound():
-    expr = SopExpr.from_cubes(
-        2, (Cube(frozenset({1}), frozenset()), Cube(frozenset(), frozenset({1})))
-    )
+    expr = SopExpr.from_cubes(2, (cube({1}), cube((), {1})))
     assert expr.disjoint and expr.verify_disjoint()
-    overlapping = SopExpr.from_cubes(
-        2, (Cube(frozenset({1}), frozenset()), Cube(frozenset({2}), frozenset()))
-    )
+    overlapping = SopExpr.from_cubes(2, (cube({1}), cube({2})))
     assert not overlapping.disjoint
 
 
@@ -241,19 +263,19 @@ def test_ie_weight_skips_clashing_subsets():
     # only the 20 singletons instead of all 2**20 - 1 subsets
     full = frozenset(range(1, 6))
     minterms = [frozenset(i for i in full if k >> (i - 1) & 1) for k in range(20)]
-    expr = SopExpr(5, tuple(Cube(pos, full - pos) for pos in minterms))
+    expr = SopExpr(5, tuple(cube(pos, full - pos) for pos in minterms))
     start = time.perf_counter()
     assert sop_weight_ie(expr) == 20
     assert time.perf_counter() - start < 0.1
 
 
 def test_ie_weight_without_clashes_visits_every_subset():
-    cubes = tuple(Cube(frozenset({i}), frozenset()) for i in range(1, 17))
+    cubes = tuple(cube({i}) for i in range(1, 17))
     assert sop_weight_ie(SopExpr(16, cubes)) == 2**16 - 1
 
 
 def test_ie_weight_cube_cap():
-    cubes = tuple(Cube(frozenset({i}), frozenset()) for i in range(1, 22))
+    cubes = tuple(cube({i}) for i in range(1, 22))
     expr = SopExpr(21, cubes)
     with pytest.raises(ValueError, match="limited"):
         sop_weight_ie(expr)
@@ -300,7 +322,7 @@ def test_minterm_form_of_two_of_three():
     expr = tt_to_minterm_sop(sop_to_tt(parse_sop(TWO_OF_THREE, XYZ)))
     assert len(expr.cubes) == 4
     assert expr.disjoint
-    assert all(c.literal_count == 3 for c in expr.cubes)
+    assert all((p | q).bit_count() == 3 for p, q in expr.cubes)
     assert sop_weight_disjoint(expr) == 4
 
 
@@ -323,6 +345,13 @@ def test_minterm_form_cube_cap(monkeypatch):
         tt_to_minterm_sop(TruthTable.from_rows([0, 1, 1, 1, 0, 1, 0, 1]))
 
 
+def test_sop_to_tt_rows_after_a_wider_table():
+    # a 12-variable table first widens the shared row masks past 2**3 bits
+    assert sop_to_tt(parse_sop("a0 a11'", [f"a{k}" for k in range(12)])).weight() == 2**10
+    rows = [int(bool(j >> 2 & 1 and not j >> 1 & 1 or j & 1)) for j in range(8)]
+    assert sop_to_tt(parse_sop("X1 X2' | X3", XYZ)) == TruthTable.from_rows(rows)
+
+
 def test_sum_rule_for_disjoint_functions():
     rng = random.Random(2004)
     for _ in range(100):
@@ -343,7 +372,7 @@ def random_sop(rng, max_n=10, max_cubes=8):
         count = rng.randint(0, min(n, 4))
         chosen = rng.sample(range(1, n + 1), count)
         pos = frozenset(v for v in chosen if rng.random() < 0.6)
-        cubes.append(Cube(pos, frozenset(chosen) - pos))
+        cubes.append(cube(pos, frozenset(chosen) - pos))
     return SopExpr.from_cubes(n, tuple(cubes))
 
 
@@ -365,9 +394,9 @@ def sops(draw):
     pool = draw(st.lists(st.lists(literal, min_size=n, max_size=n), min_size=1, max_size=10))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
     cubes = [
-        Cube(
-            frozenset(i for i, s in enumerate(pool[k], 1) if s == "pos"),
-            frozenset(i for i, s in enumerate(pool[k], 1) if s == "neg"),
+        cube(
+            (i for i, s in enumerate(pool[k], 1) if s == "pos"),
+            (i for i, s in enumerate(pool[k], 1) if s == "neg"),
         )
         for k in picks
     ]
@@ -382,3 +411,22 @@ def test_weight_and_cover_properties(expr):
     got = make_disjoint(expr)
     assert got.verify_disjoint()
     assert sop_to_tt(got) == table
+
+
+
+def read_back(text, names):
+    """`parse_sop` of `format_sop` output, which spells the empty SOP "0"."""
+    return parse_sop("" if text == "0" else text, names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sops(), st.data())
+def test_format_and_parse_round_trip(expr, data):
+    # pins the mapping between mask bit i and the i-th declared name
+    names = [f"v{i}" for i in range(1, expr.n + 1)]
+    if all(p | q for p, q in expr.cubes):  # an empty cube prints as "1", not in the grammar
+        assert read_back(format_sop(expr, names), names).cubes == expr.cubes
+    if expr.n:
+        table = TruthTable(expr.n, data.draw(st.integers(0, (1 << (1 << expr.n)) - 1)))
+        minterms = format_sop(tt_to_minterm_sop(table), names)
+        assert sop_to_tt(read_back(minterms, names)) == table
