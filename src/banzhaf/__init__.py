@@ -34,6 +34,7 @@ from .power import (
 from .sop import (
     MAX_DISJOINT_CUBES,
     MAX_IE_CUBES,
+    MAX_SOP_CUBES,
     SopExpr,
     SopSyntaxError,
     cube_weight,
@@ -57,6 +58,7 @@ __all__ = [
     "MAX_DP_WORK",
     "MAX_IE_CUBES",
     "MAX_MITM_VOTERS",
+    "MAX_SOP_CUBES",
     "N_MAX",
     "NoDecisiveVoterError",
     "ORACLE_AUTO_LIMIT",

@@ -44,125 +44,83 @@ EXIT_DISAGREEMENT = 3
 EXIT_CONSTANT = 4
 
 
-def _decimal(fr: Fraction, places: int = 6) -> str:
+#: Decimal places of every share in both report formats.
+DECIMAL_PLACES = 6
+
+
+def _decimal(fr: Fraction) -> str:
     """Fixed-point rendering of a non-negative fraction, half-up, no floats."""
-    scale = 10 ** places
+    scale = 10 ** DECIMAL_PLACES
     scaled = (fr.numerator * scale * 2 + fr.denominator) // (fr.denominator * 2)
-    return f"{scaled // scale}.{scaled % scale:0{places}d}"
+    return f"{scaled // scale}.{scaled % scale:0{DECIMAL_PLACES}d}"
 
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """Machine-readable power report with a fixed field order.
+    """A system's power report, rendered as an aligned table or canonical JSON.
 
-    Serialization is key-ordered and locale-independent so that reports can
-    be diffed and used as fixtures; parsing its own output re-emits the same
-    bytes.
+    Both renderings read the system and its :class:`PowerReport` directly.
+    JSON keys keep a fixed order and numbers are locale-independent, so
+    reports can be diffed and used as fixtures.
     """
 
-    n: int
-    quota: int
-    weights: tuple[int, ...]
-    names: tuple[str, ...]
-    tbp: tuple[int, ...]
-    ntbp: tuple[Fraction, ...]
-    dummies: tuple[str, ...]
-    symmetry_classes: tuple[tuple[str, ...], ...]
-    monotone: bool
-    causal: bool
-    constant: bool
-    oracle_verified: bool
+    system: VotingSystem
+    report: PowerReport
 
-    @classmethod
-    def from_analysis(cls, system: VotingSystem, report: PowerReport) -> "ReportDocument":
-        names = system.voter_names
-        return cls(
-            n=system.n,
-            quota=system.quota,
-            weights=system.weights,
-            names=names,
-            tbp=report.tbp,
-            ntbp=report.ntbp,
-            dummies=tuple(names[i - 1] for i in sorted(report.dummies)),
-            symmetry_classes=tuple(
-                tuple(names[i - 1] for i in group) for group in report.classes
-            ),
-            monotone=report.checks.monotone,
-            causal=report.checks.causal,
-            constant=report.checks.constant,
-            oracle_verified=report.oracle_verified,
-        )
+    def _named(self) -> tuple[list[str], list[list[str]]]:
+        """The dummies, in voter order, and the symmetry classes, by voter name."""
+        names = self.system.voter_names
+        dummies = [names[i - 1] for i in sorted(self.report.dummies)]
+        return dummies, [[names[i - 1] for i in group] for group in self.report.classes]
 
     def to_json(self) -> str:
+        system, report = self.system, self.report
+        dummies, classes = self._named()
         doc = {
-            "n": self.n,
-            "quota": self.quota,
-            "weights": list(self.weights),
-            "names": list(self.names),
-            "tbp": list(self.tbp),
+            "n": system.n,
+            "quota": system.quota,
+            "weights": list(system.weights),
+            "names": list(system.voter_names),
+            "tbp": list(report.tbp),
             "ntbp": [
                 {"num": fr.numerator, "den": fr.denominator, "decimal": _decimal(fr)}
-                for fr in self.ntbp
+                for fr in report.ntbp
             ],
-            "dummies": list(self.dummies),
-            "symmetry_classes": [list(group) for group in self.symmetry_classes],
-            "checks": {
-                "monotone": self.monotone,
-                "causal": self.causal,
-                "constant": self.constant,
-            },
-            "oracle_verified": self.oracle_verified,
+            "dummies": dummies,
+            "symmetry_classes": classes,
+            "checks": vars(report.checks),
+            "oracle_verified": report.oracle_verified,
         }
         return json.dumps(doc, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        doc = json.loads(text)
-        return cls(
-            n=doc["n"],
-            quota=doc["quota"],
-            weights=tuple(doc["weights"]),
-            names=tuple(doc["names"]),
-            tbp=tuple(doc["tbp"]),
-            ntbp=tuple(Fraction(e["num"], e["den"]) for e in doc["ntbp"]),
-            dummies=tuple(doc["dummies"]),
-            symmetry_classes=tuple(tuple(g) for g in doc["symmetry_classes"]),
-            monotone=doc["checks"]["monotone"],
-            causal=doc["checks"]["causal"],
-            constant=doc["checks"]["constant"],
-            oracle_verified=doc["oracle_verified"],
-        )
-
     def to_text(self) -> str:
+        system, report = self.system, self.report
         rows = []
-        for k, name in enumerate(self.names):
-            if self.ntbp:
-                frac = self.ntbp[k]
+        for k, name in enumerate(system.voter_names):
+            if report.ntbp:
+                frac = report.ntbp[k]
                 ntbp = f"{frac.numerator}/{frac.denominator}" if frac else "0"
                 share = _decimal(frac)
             else:
                 ntbp, share = "-", "-"
-            rows.append((name, str(self.weights[k]), str(self.tbp[k]), ntbp, share))
+            rows.append((name, str(system.weights[k]), str(report.tbp[k]), ntbp, share))
         header = ("voter", "weight", "tbp", "ntbp", "share")
         widths = [max(len(r[c]) for r in [header, *rows]) for c in range(5)]
         lines = [
-            f"voting system: quota={self.quota} "
-            f"weights={','.join(str(w) for w in self.weights)} "
-            f"(n={self.n}, total={sum(self.weights)})"
+            f"voting system: quota={system.quota} "
+            f"weights={','.join(str(w) for w in system.weights)} "
+            f"(n={system.n}, total={system.total_weight})"
         ]
         for r in [header, *rows]:
             lines.append("  ".join(r[c].ljust(widths[c]) for c in range(5)).rstrip())
-        lines.append(f"dummies: {' '.join(self.dummies) if self.dummies else '(none)'}")
-        lines.append(
-            "classes: " + " ".join("{" + ",".join(g) + "}" for g in self.symmetry_classes)
-        )
-        lines.append(
-            f"checks: monotone={str(self.monotone).lower()} "
-            f"causal={str(self.causal).lower()} constant={str(self.constant).lower()}"
-        )
-        if self.oracle_verified:
+        dummies, classes = self._named()
+        lines.append(f"dummies: {' '.join(dummies) if dummies else '(none)'}")
+        lines.append("classes: " + " ".join("{" + ",".join(g) + "}" for g in classes))
+        checks = vars(report.checks).items()
+        lines.append("checks: " + " ".join(f"{k}={str(v).lower()}" for k, v in checks))
+        if report.oracle_verified:
             lines.append("oracle: verified")
-        elif self.n <= ORACLE_AUTO_LIMIT:
+        elif system.n <= ORACLE_AUTO_LIMIT:
             lines.append("oracle: not run (disabled)")
         else:
             lines.append(f"oracle: not run (n > {ORACLE_AUTO_LIMIT})")
@@ -231,7 +189,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     system = _system_from_args(args)
     verify = False if args.no_oracle else None
     report = analyze(system, verify=verify)
-    doc = ReportDocument.from_analysis(system, report)
+    doc = ReportDocument(system, report)
     sys.stdout.write(doc.to_json() if args.format == "json" else doc.to_text())
     return EXIT_CONSTANT if report.checks.constant else EXIT_OK
 

@@ -44,6 +44,10 @@ MAX_IE_CUBES = 20
 #: has one cube per true row; refuse to hold more.
 MAX_DISJOINT_CUBES = 1 << 16
 
+#: Certifying a parsed expression disjoint tests every pair of its cubes;
+#: 2**12 cubes take about 0.6 s, so refuse more.
+MAX_SOP_CUBES = 1 << 12
+
 
 class SopSyntaxError(ValueError):
     """Raised for malformed SOP text; `position` is a 0-based text offset."""
@@ -87,7 +91,13 @@ class SopExpr:
 
     @classmethod
     def from_cubes(cls, n: int, cubes: Sequence[tuple[int, int]]) -> "SopExpr":
-        """Build an expression, computing the disjointness certificate."""
+        """Build an expression, computing the disjointness certificate.
+
+        Raises ``ValueError`` past :data:`MAX_SOP_CUBES` cubes, before the
+        pairwise test.
+        """
+        if len(cubes) > MAX_SOP_CUBES:
+            raise ValueError(f"{len(cubes)} cubes pass MAX_SOP_CUBES = {MAX_SOP_CUBES}")
         expr = cls(n, tuple(cubes), disjoint=False)
         return cls(n, expr.cubes, disjoint=expr.verify_disjoint())
 

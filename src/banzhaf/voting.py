@@ -134,11 +134,13 @@ class VotingSystem:
         from the intervals ``[a0, b0]`` of its no child and ``[a1, b1]`` of its
         yes child, both a level down, a voter of weight ``w`` gets
         ``[max(a0, a1 + w), min(b0, b1 + w)]``.  The nodes are made depth
-        first on an explicit stack: a need that no interval of its level
-        holds yet gets a node once its two children, looked up or made in
-        turn, exist.  Level ``i`` holds at most ``min(2**i, 2**(n - i) + 1)``
-        inner nodes, about 12.3k in all at 24 voters, whatever the weights.
-        Raises ``ValueError`` beyond :data:`~banzhaf.truthtable.N_MAX` voters.
+        first by a recursive helper: a need that no interval of its level
+        holds yet gets a node once its no child and then its yes child are
+        looked up or made.  The recursion takes one frame per level, so it is
+        at most ``N_MAX + 1`` = 25 frames deep.  Level ``i`` holds at most
+        ``min(2**i, 2**(n - i) + 1)`` inner nodes, about 12.3k in all at 24
+        voters, whatever the weights.  Raises ``ValueError`` beyond
+        :data:`~banzhaf.truthtable.N_MAX` voters.
         """
         if self.n > N_MAX:
             raise ValueError(f"arity {self.n} exceeds dense-table limit {N_MAX}")
@@ -153,42 +155,38 @@ class VotingSystem:
         ids: list[list[int]] = [[] for _ in range(n)]
         nos: list[list[int]] = [[] for _ in range(n)]
         yeses: list[list[int]] = [[] for _ in range(n)]
-        # (level, need) to look up, or (~level, need) to make from the last
-        # two entries of `done`: the no child's (id, low, high), then the yes
-        # child's, each pushed when its own look-up or making finishes.  A
-        # constant's interval is unbounded on one side, given as None: ONE's
-        # is (-inf, 0] and ZERO's [rests[i] + 1, inf).
-        todo = [(0, self.quota)]
-        done: list[tuple[int, Optional[int], Optional[int]]] = []
-        while todo:
-            i, need = todo.pop()
-            if i >= 0:
-                if need <= 0:
-                    done.append((ONE, None, 0))
-                elif need > rests[i]:
-                    done.append((ZERO, rests[i] + 1, None))
-                else:
-                    k = bisect_right(lows[i], need) - 1
-                    if k >= 0 and need <= highs[i][k]:
-                        done.append((ids[i][k], lows[i][k], highs[i][k]))
-                    else:
-                        todo += ((~i, need), (i + 1, need - weights[i]), (i + 1, need))
-                continue
-            i = ~i
+
+        def node(i: int, need: int) -> tuple[int, Optional[int], Optional[int]]:
+            """Id and interval of the level-``i`` node for ``need``, made if new.
+
+            A constant's interval is unbounded on one side, given as None:
+            ONE's is (-inf, 0] and ZERO's [rests[i] + 1, inf).
+            """
+            if need <= 0:
+                return ONE, None, 0
+            if need > rests[i]:
+                return ZERO, rests[i] + 1, None
+            k = bisect_right(lows[i], need) - 1
+            if k >= 0 and need <= highs[i][k]:
+                return ids[i][k], lows[i][k], highs[i][k]
             w = weights[i]
             # 0 < need <= rests[i], so the no child is not ONE and the yes
             # child is not ZERO: a0 and b1 are bounded
-            (c1, a1, b1), (c0, a0, b0) = done.pop(), done.pop()
+            c0, a0, b0 = node(i + 1, need)
+            c1, a1, b1 = node(i + 1, need - w)
             low = a0 if a1 is None else max(a0, a1 + w)
             high = b1 + w if b0 is None else min(b0, b1 + w)
-            node = len(nos[i]) + 2
+            made = len(nos[i]) + 2
             k = bisect_right(lows[i], low)
             lows[i].insert(k, low)
             highs[i].insert(k, high)
-            ids[i].insert(k, node)
+            ids[i].insert(k, made)
             nos[i].append(c0)
             yeses[i].append(c1)
-            done.append((node, low, high))
+            return made, low, high
+
+        node(0, self.quota)
+        del node  # the helper refers to itself; drop that cycle with it
         return Diagram(tuple(map(tuple, nos)), tuple(map(tuple, yeses)))
 
     def to_table(self) -> TruthTable:

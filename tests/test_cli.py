@@ -1,4 +1,4 @@
-"""Command-line surface: outputs, exit codes, determinism, round trips."""
+"""Command-line surface: outputs, whole-report bytes, exit codes, determinism."""
 
 import json
 import os
@@ -11,7 +11,7 @@ import pytest
 
 import banzhaf
 from banzhaf import cli
-from banzhaf.cli import ReportDocument, main
+from banzhaf.cli import main
 
 SRC = str(Path(banzhaf.__file__).resolve().parent.parent)
 
@@ -142,9 +142,125 @@ def test_analyze_output_is_deterministic(capsys):
     assert len(outputs) == 1
 
 
-def test_report_document_round_trip(capsys):
-    _, out, _ = run_cli(capsys, "analyze", *EEC_ARGS, "--format", "json")
-    assert ReportDocument.from_json(out).to_json() == out
+# -- whole reports, byte for byte ---------------------------------------------------
+
+NINE_ARGS = ["--quota", "41", "--weights", "10,10,10,10,5,5,3,3,2"]
+FOURTEEN_ARGS = ["--quota", "20", "--weights", "5,5,4,4,3,3,3,2,2,2,1,1,1,1"]
+
+
+def share(num, den, decimal):
+    return {"num": num, "den": den, "decimal": decimal}
+
+
+def json_report(quota, weights, names, tbp, ntbp, dummies, classes, checks, verified):
+    doc = {
+        "n": len(weights), "quota": quota, "weights": weights, "names": names,
+        "tbp": tbp, "ntbp": ntbp, "dummies": dummies, "symmetry_classes": classes,
+        "checks": dict(zip(("monotone", "causal", "constant"), checks)),
+        "oracle_verified": verified,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+REPORTS = {
+    "six-member": (EEC_ARGS, 0, """\
+voting system: quota=12 weights=4,4,4,2,2,1 (n=6, total=17)
+voter  weight  tbp  ntbp  share
+F      4       5    5/21  0.238095
+G      4       5    5/21  0.238095
+I      4       5    5/21  0.238095
+B      2       3    1/7   0.142857
+N      2       3    1/7   0.142857
+L      1       0    0     0.000000
+dummies: L
+classes: {F,G,I} {B,N} {L}
+checks: monotone=true causal=true constant=false
+oracle: verified
+""", json_report(
+        12, [4, 4, 4, 2, 2, 1], list("FGIBNL"), [5, 5, 5, 3, 3, 0],
+        [share(5, 21, "0.238095")] * 3 + [share(1, 7, "0.142857")] * 2
+        + [share(0, 1, "0.000000")],
+        ["L"], [["F", "G", "I"], ["B", "N"], ["L"]], (True, True, False), True,
+    )),
+    "nine-member": (NINE_ARGS, 0, """\
+voting system: quota=41 weights=10,10,10,10,5,5,3,3,2 (n=9, total=58)
+voter  weight  tbp  ntbp    share
+X1     10      53   53/317  0.167192
+X2     10      53   53/317  0.167192
+X3     10      53   53/317  0.167192
+X4     10      53   53/317  0.167192
+X5     5       29   29/317  0.091483
+X6     5       29   29/317  0.091483
+X7     3       21   21/317  0.066246
+X8     3       21   21/317  0.066246
+X9     2       5    5/317   0.015773
+dummies: (none)
+classes: {X1,X2,X3,X4} {X5,X6} {X7,X8} {X9}
+checks: monotone=true causal=true constant=false
+oracle: verified
+""", json_report(
+        41, [10, 10, 10, 10, 5, 5, 3, 3, 2], [f"X{i}" for i in range(1, 10)],
+        [53] * 4 + [29] * 2 + [21] * 2 + [5],
+        [share(53, 317, "0.167192")] * 4 + [share(29, 317, "0.091483")] * 2
+        + [share(21, 317, "0.066246")] * 2 + [share(5, 317, "0.015773")],
+        [], [["X1", "X2", "X3", "X4"], ["X5", "X6"], ["X7", "X8"], ["X9"]],
+        (True, True, False), True,
+    )),
+    "constant": (["--quota", "7", "--weights", "1,1,1"], 4, """\
+voting system: quota=7 weights=1,1,1 (n=3, total=3)
+voter  weight  tbp  ntbp  share
+X1     1       0    -     -
+X2     1       0    -     -
+X3     1       0    -     -
+dummies: X1 X2 X3
+classes: {X1,X2,X3}
+checks: monotone=true causal=false constant=true
+oracle: verified
+""", json_report(
+        7, [1, 1, 1], ["X1", "X2", "X3"], [0, 0, 0], [], ["X1", "X2", "X3"],
+        [["X1", "X2", "X3"]], (True, False, True), True,
+    )),
+    "fourteen-unverified": (FOURTEEN_ARGS, 0, """\
+voting system: quota=20 weights=5,5,4,4,3,3,3,2,2,2,1,1,1,1 (n=14, total=37)
+voter  weight  tbp   ntbp       share
+X1     5       2992  748/5343   0.139996
+X2     5       2992  748/5343   0.139996
+X3     4       2324  581/5343   0.108740
+X4     4       2324  581/5343   0.108740
+X5     3       1710  285/3562   0.080011
+X6     3       1710  285/3562   0.080011
+X7     3       1710  285/3562   0.080011
+X8     2       1126  563/10686  0.052686
+X9     2       1126  563/10686  0.052686
+X10    2       1126  563/10686  0.052686
+X11    1       558   93/3562    0.026109
+X12    1       558   93/3562    0.026109
+X13    1       558   93/3562    0.026109
+X14    1       558   93/3562    0.026109
+dummies: (none)
+classes: {X1,X2} {X3,X4} {X5,X6,X7} {X8,X9,X10} {X11,X12,X13,X14}
+checks: monotone=true causal=true constant=false
+oracle: not run (n > 12)
+""", json_report(
+        20, [5, 5, 4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1], [f"X{i}" for i in range(1, 15)],
+        [2992] * 2 + [2324] * 2 + [1710] * 3 + [1126] * 3 + [558] * 4,
+        [share(748, 5343, "0.139996")] * 2 + [share(581, 5343, "0.108740")] * 2
+        + [share(285, 3562, "0.080011")] * 3 + [share(563, 10686, "0.052686")] * 3
+        + [share(93, 3562, "0.026109")] * 4,
+        [], [["X1", "X2"], ["X3", "X4"], ["X5", "X6", "X7"], ["X8", "X9", "X10"],
+             ["X11", "X12", "X13", "X14"]],
+        (True, True, False), False,
+    )),
+}
+
+
+@pytest.mark.parametrize("case", REPORTS)
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_analyze_whole_report_bytes(capsys, case, fmt):
+    args, exit_code, text, json_text = REPORTS[case]
+    code, out, err = run_cli(capsys, "analyze", *args, "--format", fmt)
+    assert (code, err) == (exit_code, "")
+    assert out == (text if fmt == "table" else json_text)
 
 
 def test_weight_all_methods(capsys):
@@ -188,6 +304,15 @@ def test_weight_disjoint_cube_cap(capsys):
     code, out, err = run_cli(capsys, "weight", chain, "--method", "disjoint")
     assert code == 2 and out == ""
     assert "MAX_DISJOINT_CUBES" in err
+
+
+def test_weight_sop_cube_cap(capsys):
+    text = " | ".join(
+        " ".join(f"a{k}" if row >> k & 1 else f"a{k}'" for k in range(13)) for row in range(4097)
+    )
+    code, out, err = run_cli(capsys, "weight", text)
+    assert code == 2 and out == ""
+    assert "MAX_SOP_CUBES" in err
 
 
 def test_weight_method_disagreement_exit_code(capsys, monkeypatch):

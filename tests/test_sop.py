@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from banzhaf import (
     MAX_DISJOINT_CUBES,
+    MAX_SOP_CUBES,
     SopExpr,
     SopSyntaxError,
     TruthTable,
@@ -214,6 +215,29 @@ def test_make_disjoint_cube_cap():
     assert 2**16 - 1 <= MAX_DISJOINT_CUBES < 2**17 - 1
     with pytest.raises(ValueError, match="MAX_DISJOINT_CUBES"):
         make_disjoint(parse_sop(chain_sop(17), names))
+
+
+def minterm_sop(n, m):
+    """The minterms of rows 0..m-1 over ``a0..a{n-1}``, as SOP text, and those names."""
+    names = [f"a{k}" for k in range(n)]
+    terms = (
+        " ".join(nm if row >> k & 1 else nm + "'" for k, nm in enumerate(names))
+        for row in range(m)
+    )
+    return " | ".join(terms), names
+
+
+def test_parse_sop_cube_cap(monkeypatch):
+    assert MAX_SOP_CUBES == 4096
+    expr = parse_sop(*minterm_sop(12, MAX_SOP_CUBES))  # all 4096 rows, pairwise disjoint
+    assert expr.disjoint and len(expr.cubes) == MAX_SOP_CUBES
+
+    def pairwise_test(self):
+        raise AssertionError("the pairwise test ran past the cap")
+
+    monkeypatch.setattr(SopExpr, "verify_disjoint", pairwise_test)
+    with pytest.raises(ValueError, match="4097 cubes pass MAX_SOP_CUBES = 4096"):
+        parse_sop(*minterm_sop(13, MAX_SOP_CUBES + 1))
 
 
 def test_make_disjoint_on_six_variable_system_matches_table_weight():

@@ -7,6 +7,7 @@ decompositions that pin down every operation here.
 
 import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -129,6 +130,27 @@ def test_to_table_of_24_distinct_weights_near_10_to_the_12():
     for j in rng.sample(range(1 << 24), 2000):
         total = sum(weights[i] for i in range(24) if (j >> (23 - i)) & 1)
         assert table.row(j) == (1 if total >= system.quota else 0)
+
+
+def frame_depth():
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_diagram_recursion_is_one_frame_per_level():
+    rng = random.Random(4006)
+    weights = tuple(rng.sample(range(1, 1001), 24))
+    system = VotingSystem(sum(weights) // 2 + 1, weights)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 40)  # room for 25 levels, not for 2 per level
+    try:
+        diagram = system.diagram()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert diagram.n == 24 and len(diagram.no[0]) == 1
+    assert all(len(level) <= min(2**i, 2 ** (24 - i) + 1) for i, level in enumerate(diagram.no))
 
 
 def test_unanimity_and_single_vote_rules():
