@@ -364,6 +364,19 @@ def test_analyze_subset_sum_work_cap(capsys):
     assert "MAX_DP_WORK" in err
 
 
+@pytest.mark.parametrize("n, code", [(28, 0), (33, 2)])
+def test_analyze_large_weights_past_the_diagram(capsys, n, code):
+    # distinct weights near 10**12: meeting in the middle counts up to 32 voters
+    weights = [10**12 + 2**k for k in range(n)]
+    args = ["--quota", str(sum(weights) // 2 + 1), "--weights", ",".join(map(str, weights))]
+    got, out, err = run_cli(capsys, "analyze", *args)
+    assert got == code
+    if code:
+        assert out == "" and "MAX_MITM_VOTERS" in err and "MAX_DP_BYTES" in err
+    else:
+        assert err == "" and "oracle: not run" in out
+
+
 def test_derivative_unknown_voter(capsys):
     code, _, err = run_cli(capsys, "derivative", *EEC_ARGS, "--voter", "Z")
     assert code == 2

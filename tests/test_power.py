@@ -43,7 +43,7 @@ from banzhaf.power import (
 )
 from banzhaf.truthtable import N_MAX
 from banzhaf.voting import Diagram
-from reference import enum_swing_counts
+from reference import enum_swing_counts, enum_tbp
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -241,6 +241,15 @@ def test_diagram_counts_match_enumeration(system):
     assert _dd_swing_counts(diagram) == enum_swing_counts(quota, weights)
 
 
+@settings(max_examples=200, deadline=None)
+@given(large_weight_systems())
+def test_diagram_node_estimate_is_a_bound(system):
+    quota, weights = system
+    assume(quota <= sum(weights))
+    nodes = sum(map(len, VotingSystem(quota, weights).diagram().no))
+    assert nodes <= power_module._dd_nodes(weights, gcd(*weights))
+
+
 @settings(max_examples=300, deadline=None)
 @given(large_weight_systems())
 @example((1, (0,)))  # n = 1: one empty half
@@ -358,16 +367,21 @@ def test_dp_dense_case_memory_stays_within_a_block():
 
 
 def test_dp_kernel_refuses_huge_tables_without_allocating():
-    weights = tuple(10**12 + k for k in range(30))  # co-prime, so gcd 1
+    # co-prime, so gcd 1: past MAX_MITM_VOTERS every source is over its cap
+    weights = tuple(10**12 + k for k in range(MAX_MITM_VOTERS + 1))
     system = VotingSystem(sum(weights) // 2, weights)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="MAX_DP_BYTES"):
+        with pytest.raises(ValueError, match="MAX_DP_BYTES") as refusal:
             analyze(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < MAX_DP_BYTES // 64
+    assert "N_MAX" in str(refusal.value) and "MAX_MITM_VOTERS" in str(refusal.value)
+    # 30 of them are within meet-in-the-middle's cap, and no voter is a dummy
+    thirty = VotingSystem(sum(weights[:30]) // 2, weights[:30])
+    assert analyze(thirty).tbp == mitm_swings(thirty.quota, thirty.weights)
     small = VotingSystem(2 * 10**12, (10**12 - 1, 10**12, 10**12 + 1))
     with pytest.raises(ValueError, match="verify=False"):
         analyze(small)
@@ -398,6 +412,62 @@ def test_dp_work_cap_refuses_at_once():
         analyze(VotingSystem(sum(weights) // 2 + 1, weights))
     assert time.perf_counter() - start < 1.0
     assert MAX_DP_WORK == 1 << 31
+
+
+@pytest.mark.parametrize(
+    "weights, source",
+    [
+        (tuple(random.Random(5010).choices(range(1, 1001), k=20)), "subset-sum"),
+        (tuple(random.Random(5011).sample(range(10**6, 2 * 10**6), 24)), "meet-in-the-middle"),
+        (tuple(random.Random(5012).choices((10**6 - 1, 10**6, 10**6 + 1), k=24)), "diagram"),
+    ],
+)
+def test_planner_picks_the_cheapest_source(weights, source):
+    quota = sum(weights) // 2 + 1
+    assert power_module._plan(quota, weights)[0] == source
+    report = analyze(VotingSystem(quota, weights))
+    assert not report.dummies  # so the counts need no halving
+    assert report.tbp == mitm_swings(quota, weights)
+
+
+@st.composite
+def planner_systems(draw):
+    values = draw(st.lists(st.integers(0, draw(st.sampled_from((3, 30, 10**12)))), min_size=1))
+    weights = tuple(draw(st.lists(st.sampled_from(values), min_size=1, max_size=14)))
+    return VotingSystem(draw(st.integers(1, sum(weights) + 2)), weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planner_systems())
+@example(VotingSystem(10**12, (10**12, 3 * 10**11 + 7, 5)))  # a table past MAX_DP_BYTES
+@example(VotingSystem(4, (0, 0, 0)))  # quota past the total, all weights zero
+def test_every_planned_source_gives_the_enumerated_report(system):
+    tbp = enum_tbp(system)
+    dummies = {i for i, c in enumerate(tbp, 1) if c == 0}
+    classes = {}
+    for i, c in enumerate(tbp, 1):
+        classes.setdefault(c, []).append(i)
+    quota, weights = system.quota, system.weights
+    sources = ["meet-in-the-middle", "diagram"]
+    if quota > sum(weights) or power_module._dp_size(quota, weights).fits():
+        sources.append("subset-sum")
+    for source in sources:
+        with mock.patch.object(power_module, "_plan", return_value=(source, None)):
+            report = analyze(system, verify=False)
+        assert report.tbp == tbp
+        assert report.dummies == dummies
+        assert report.classes == tuple(map(tuple, classes.values()))
+
+
+def test_analyze_of_28_voters_near_10_to_the_12_is_fast():
+    rng = random.Random(5013)
+    weights = tuple(10**12 + rng.randrange(10**9) for _ in range(28))
+    system = VotingSystem(sum(weights) // 2 + 1, weights)
+    start = time.perf_counter()
+    report = analyze(system)
+    assert time.perf_counter() - start < 1.0
+    assert not report.dummies and not report.oracle_verified
+    assert report.tbp == mitm_swings(system.quota, weights)
 
 
 def test_dp_route_reduces_by_the_gcd():
