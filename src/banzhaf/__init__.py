@@ -2,12 +2,13 @@
 
 The package models a weighted yes-no voting system as a threshold switching
 function and computes each voter's total and normalized Banzhaf power from
-the weight of the function's Boolean difference, taken per node of its
-decision diagram up to 24 voters and by subset-sum counting beyond.  The
-cross-check compares those counts with the dense truth table's and with
-meet-in-the-middle and subset-sum oracles.  Supporting machinery -
-dense truth tables, a sum-of-products algebra with sequential disjointing,
-and a characteristic-set calculus for symmetric functions - is exposed as a
+the weight of the function's Boolean difference.  A planner counts each
+system with the cheapest of three exact sources within its cap: the
+decision diagram, per node; meeting in the middle; or subset-sum counting.
+The cross-check runs all three and compares them with the dense truth
+table's counts.  Supporting machinery - dense truth tables, a
+sum-of-products algebra with sequential disjointing, and a
+characteristic-set calculus for symmetric functions - is exposed as a
 library; the ``banzhaf`` command wraps it for the command line.
 
 >>> from banzhaf import VotingSystem, analyze
@@ -37,15 +38,12 @@ from .sop import (
     MAX_SOP_CUBES,
     SopExpr,
     SopSyntaxError,
-    cube_weight,
     make_disjoint,
     parse_sop,
-    real_transform_eval,
     sop_names,
     sop_to_tt,
     sop_weight_disjoint,
     sop_weight_ie,
-    sop_weight_real,
     tt_to_minterm_sop,
 )
 from .symmetric import SymFn, parse_sym
@@ -71,17 +69,14 @@ __all__ = [
     "TruthTable",
     "VotingSystem",
     "analyze",
-    "cube_weight",
     "make_disjoint",
     "normalize",
     "parse_sop",
     "parse_sym",
-    "real_transform_eval",
     "sop_names",
     "sop_to_tt",
     "sop_weight_disjoint",
     "sop_weight_ie",
-    "sop_weight_real",
     "tbp_all",
     "tbp_oracle_dp",
     "tbp_oracle_mitm",

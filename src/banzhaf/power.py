@@ -303,8 +303,8 @@ def _dp_swing_counts(
     size = size or _dp_size(quota, weights)
     if not size.fits():
         hint = (
-            "; the decision diagram needs no such table, so pass verify=False "
-            "(--no-oracle on the command line)"
+            "; under verify=False (--no-oracle on the command line) the cheapest "
+            "source within its cap counts instead"
             if n <= N_MAX
             else ""
         )

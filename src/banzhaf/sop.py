@@ -1,4 +1,4 @@
-"""Sum-of-products algebra on literal bit masks, with three independent weight methods.
+"""Sum-of-products algebra on literal bit masks, with two independent weight methods.
 
 A cube (product term) is a pair of bit masks ``(pos, neg)`` with bit i for
 ``X_i``: `pos` holds the uncomplemented literals and `neg` the complemented
@@ -6,8 +6,8 @@ ones.  A conjunction is one OR per side, a contradiction is ``pos & neg`` and
 the literal count is ``(pos | neg).bit_count()``.  A :class:`SopExpr` is an
 ordered OR of cubes over variables ``1..n``, carrying a certificate flag that
 says whether the cubes are pairwise disjoint.  Disjointness is what makes
-weights (and probabilities) add term-wise, so most of this module is about
-producing or exploiting it:
+weights add term-wise, so most of this module is about producing or
+exploiting it:
 
 * :func:`make_disjoint` - sequential disjointing: each cube is multiplied by
   the expanded complements of all cubes before it, except that a piece which
@@ -18,9 +18,6 @@ producing or exploiting it:
   SOP.  The walk skips every extension of a clashing subset, so its cost is
   the number of subsets whose conjunction does not clash (``2**m - 1`` only
   when no two of the m cubes clash).
-* :func:`real_transform_eval` - the multi-affine real polynomial that agrees
-  with the function on 0/1 inputs; its value at the all-1/2 point times
-  ``2**n`` recovers the weight exactly.
 
 The parser ORs literal bits straight into the pairs, and every function here
 reads them as they are, so a cube is never held in any other form.
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -55,15 +51,6 @@ class SopSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def cube_weight(cube: tuple[int, int], n: int) -> int:
-    """Number of rows a single ``(pos, neg)`` cube covers: ``2**(n - literals)``."""
-    pos, neg = cube
-    free = n - (pos | neg).bit_count()
-    if free < 0:
-        raise ValueError(f"cube uses more than {n} distinct variables")
-    return 1 << free
 
 
 @dataclass(frozen=True)
@@ -143,8 +130,8 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     ``|``; a ``'`` directly after a name complements that literal.  Variable
     order (and hence the expression's arity) comes from `names`, not from
     order of appearance.  Repeated literals inside a term collapse; a
-    contradictory term is an error.  Empty input denotes the constant-0
-    function.
+    contradictory term is an error.  Empty input and the whole text ``0``
+    denote the constant-0 function, and the whole text ``1`` the constant 1.
     """
     index = variable_index(names)
     n = len(index)
@@ -186,6 +173,8 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
                 pos |= bit
             term_open = True
             pending_and = False
+        elif len(tokens) == 1 and tok in ("0", "1"):  # a constant, as format_sop prints it
+            return SopExpr(n, ((0, 0),) * int(tok), disjoint=True)
         else:
             raise SopSyntaxError(f"unexpected character {tok!r}", at)
         k += 1
@@ -301,41 +290,6 @@ def sop_weight_ie(expr: SopExpr) -> int:
             if j + 1 < m:
                 stack.append((j + 1, jp, jq, -sign))
     return total
-
-
-def real_transform_eval(expr: SopExpr, p: Sequence) -> "Fraction | float":
-    """Evaluate the real (probability) transform of a disjoint SOP at `p`.
-
-    ANDs become products, ORs sums, ``X_i`` becomes ``p[i-1]`` and its
-    complement ``1 - p[i-1]``; disjointness is what makes the plain sum
-    correct.  Exactness follows the input type: pass `Fraction` entries for
-    exact arithmetic, floats for fast approximate evaluation.
-    """
-    if not expr.disjoint:
-        raise ValueError("the term-wise sum is only valid for a disjoint SOP")
-    if len(p) != expr.n:
-        raise ValueError(f"expected {expr.n} probabilities, got {len(p)}")
-    for v in p:
-        if not 0 <= v <= 1:
-            raise ValueError(f"probability {v!r} outside [0, 1]")
-    total = 0
-    for pos, neg in expr.cubes:
-        term = 1
-        for i in range(1, expr.n + 1):
-            if pos >> i & 1:
-                term = term * p[i - 1]
-            elif neg >> i & 1:
-                term = term * (1 - p[i - 1])
-        total = total + term
-    return total
-
-
-def sop_weight_real(expr: SopExpr) -> int:
-    """Weight via the real transform at the all-1/2 point, in exact rationals."""
-    half = [Fraction(1, 2)] * expr.n
-    scaled = real_transform_eval(expr, half) * (1 << expr.n)
-    assert scaled.denominator == 1
-    return int(scaled)
 
 
 # -- conversions --------------------------------------------------------------

@@ -15,11 +15,10 @@ ever needed; every operation is pure and returns a new table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
-#: Largest arity for dense tables (2**24 bits = 2 MiB per table).  Larger
-#: systems must go through the symmetric or subset-sum paths instead.
+#: Largest arity for dense tables (2**24 bits = 2 MiB per table) and for a
+#: system's decision diagram.  Larger systems are counted without either, by
+#: meeting in the middle or subset-sum counting.
 N_MAX = 24
 
 
@@ -58,15 +57,6 @@ def _squeeze(bits: int, pos: int, n: int) -> int:
     return bits
 
 
-def _stretch(bits: int, pos: int, m: int) -> int:
-    """Inverse of :func:`_squeeze`: spread a 2**m-bit table over 2**(m+1) bits,
-    leaving the result in the blocks where the new variable (at bit `pos`) is 0.
-    """
-    for k in range(m - 1, pos - 1, -1):
-        bits = (bits | (bits << (1 << k))) & _var_zero_mask(k, m + 1)
-    return bits
-
-
 @dataclass(frozen=True)
 class TruthTable:
     """Immutable dense truth table of an ``n``-variable switching function."""
@@ -94,48 +84,13 @@ class TruthTable:
         pos = n - i
         return cls(n, (((1 << (1 << n)) - 1) & _var_zero_mask(pos, n)) << (1 << pos))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[int]) -> "TruthTable":
-        """Build a table from an explicit output column, row 0 first."""
-        size = len(rows)
-        n = size.bit_length() - 1
-        if size != 1 << n:
-            raise ValueError(f"row count {size} is not a power of two")
-        bits = 0
-        for j, v in enumerate(rows):
-            if v not in (0, 1):
-                raise ValueError(f"row {j}: output must be 0 or 1, got {v!r}")
-            bits |= v << j
-        return cls(n, bits)
-
-    # -- row access and serialization -------------------------------------
+    # -- row access ---------------------------------------------------------
 
     def row(self, j: int) -> int:
         """Function value on input row ``j`` (0-based, X_1 = most significant)."""
         if not 0 <= j < (1 << self.n):
             raise ValueError(f"row {j} out of range for {self.n} variables")
         return (self.bits >> j) & 1
-
-    def to_text(self) -> str:
-        """Serialize as ``n=<k>`` header plus the 2**k output bits in row order."""
-        body = format(self.bits, f"0{1 << self.n}b")[::-1]
-        return f"n={self.n}\n{body}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TruthTable":
-        header, _, body = text.partition("\n")
-        header = header.strip()
-        if not header.startswith("n="):
-            raise ValueError("missing 'n=<k>' header")
-        n = int(header[2:])
-        if not 0 <= n <= N_MAX:
-            raise ValueError(f"arity must be between 0 and {N_MAX}, got {n}")
-        payload = "".join(body.split())
-        if len(payload) != 1 << n:
-            raise ValueError(f"expected {1 << n} bits, got {len(payload)}")
-        if payload.strip("01"):
-            raise ValueError("bit body may contain only '0' and '1'")
-        return cls(n, int(payload[::-1], 2))
 
     # -- pointwise connectives ---------------------------------------------
 
@@ -194,29 +149,11 @@ class TruthTable:
         """Weight of :meth:`boolean_difference`, read without building it."""
         return self._fold(i).bit_count()
 
-    def insert_vacuous(self, i: int) -> "TruthTable":
-        """Insert a new, irrelevant variable so it becomes ``X_i`` of the result.
-
-        Inverse of :meth:`restrict` at either value; handy for re-aligning
-        arities after differencing.
-        """
-        if self.n >= N_MAX:
-            raise ValueError(f"arity {self.n + 1} would exceed {N_MAX}")
-        if not 1 <= i <= self.n + 1:
-            raise ValueError(f"variable index {i} out of range 1..{self.n + 1}")
-        pos = self.n + 1 - i
-        spread = _stretch(self.bits, pos, self.n)
-        return TruthTable(self.n + 1, spread | (spread << (1 << pos)))
-
     # -- measures and structure checks --------------------------------------
 
     def weight(self) -> int:
         """Number of true rows (minterms)."""
         return self.bits.bit_count()
-
-    def syndrome(self) -> Fraction:
-        """Weight normalized by 2**n, as an exact rational in [0, 1]."""
-        return Fraction(self.weight(), 1 << self.n)
 
     def is_vacuous_in(self, i: int) -> bool:
         """True iff f does not depend on ``X_i`` (zero Boolean difference)."""

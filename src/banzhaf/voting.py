@@ -117,12 +117,6 @@ class VotingSystem:
             return self.names
         return tuple(f"X{i}" for i in range(1, self.n + 1))
 
-    def scaled(self, c: int) -> "VotingSystem":
-        """The same rule with quota and every weight multiplied by ``c``."""
-        if not _is_int(c) or c < 1:
-            raise ValueError(f"scale factor must be a positive integer, got {c!r}")
-        return VotingSystem(self.quota * c, tuple(w * c for w in self.weights), self.names)
-
     # -- realization ---------------------------------------------------------
 
     def diagram(self) -> Diagram:
@@ -143,7 +137,7 @@ class VotingSystem:
         :data:`~banzhaf.truthtable.N_MAX` voters.
         """
         if self.n > N_MAX:
-            raise ValueError(f"arity {self.n} exceeds dense-table limit {N_MAX}")
+            raise ValueError(f"a diagram of {self.n} voters exceeds its limit N_MAX = {N_MAX}")
         n, weights = self.n, self.weights
         rests = [0] * (n + 1)  # rests[i]: the weight of voters i + 1..n
         for i in range(n - 1, -1, -1):

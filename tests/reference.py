@@ -1,9 +1,30 @@
-"""Reference swing counts by walking all 2**n vote configurations.
+"""Test-side references that share no code with the package's kernels.
 
-This is the definition the package's count routes are tested against: pure
-threshold arithmetic on weighted sums, sharing no code with the package.
-Its cost doubles per voter, so tests use it up to about 12 voters.
+`enum_swing_counts` walks all 2**n vote configurations: the definition the
+package's count routes are tested against, pure threshold arithmetic on
+weighted sums.  Its cost doubles per voter, so tests use it up to about 12
+voters.  `table_of`, `lift` and `scaled` build test inputs row by row or
+from a system's fields.
 """
+
+from banzhaf import TruthTable, VotingSystem
+
+
+def table_of(rows):
+    """The table with the given output column, row 0 first."""
+    return TruthTable(len(rows).bit_length() - 1, sum(v << j for j, v in enumerate(rows)))
+
+
+def lift(table, i):
+    """`table` with a new, irrelevant variable inserted as X_i, row by row."""
+    n = table.n + 1
+    low = (1 << (n - i)) - 1  # the row bits of X_{i+1}..X_n
+    return table_of([table.row((j >> 1) & ~low | j & low) for j in range(1 << n)])
+
+
+def scaled(system, c):
+    """The same rule with quota and every weight multiplied by c."""
+    return VotingSystem(system.quota * c, tuple(w * c for w in system.weights), system.names)
 
 
 def enum_swing_counts(quota, weights):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -11,6 +12,7 @@ import pytest
 
 import banzhaf
 from banzhaf import cli
+from banzhaf import parse_sop, sop_names, sop_to_tt
 from banzhaf.cli import main
 
 SRC = str(Path(banzhaf.__file__).resolve().parent.parent)
@@ -336,6 +338,27 @@ def test_derivative_of_dummy_voter(capsys):
     code, out, _ = run_cli(capsys, "derivative", *EEC_ARGS, "--voter", "L")
     assert code == 0
     assert out == "voter L: weight 0\n0\n"
+
+
+def test_derivative_reads_back_at_its_weight(capsys):
+    # the last line is SOP text, "0" and "1" included, that weighs what the first says
+    rng = random.Random(6001)
+    for _ in range(40):
+        weights = [rng.randint(0, 9) for _ in range(rng.randint(1, 8))]
+        quota = str(rng.randint(1, sum(weights) + 2))
+        system = ["--quota", quota, "--weights", ",".join(map(str, weights))]
+        for i in range(1, len(weights) + 1):
+            code, out, _ = run_cli(capsys, "derivative", *system, "--voter", f"X{i}")
+            head, text = out.splitlines()
+            assert code == 0 and head.startswith(f"voter X{i}: weight ")
+            assert sop_to_tt(parse_sop(text, sop_names(text))).weight() == int(head.split()[-1])
+    constants = [
+        (EEC_ARGS + ["--voter", "L"], "0"),
+        (["--quota", "1", "--weights", "1", "--voter", "X1"], "1"),
+    ]
+    for args, text in constants:
+        assert run_cli(capsys, "derivative", *args)[1].splitlines()[1] == text
+        assert run_cli(capsys, "weight", text, "--method", "disjoint")[:2] == (0, f"{text}\n")
 
 
 def test_derivative_of_expression(capsys):

@@ -1,11 +1,13 @@
-"""Public surface and input parsers: every export resolves, and malformed
-input only ever raises ``ValueError`` (exit code 2 on the command line).
+"""Public surface and input parsers: every export resolves, the package
+docstring's example runs, and malformed input only ever raises
+``ValueError`` (exit code 2 on the command line).
 
 The parsers are fuzzed with Hypothesis over arbitrary text and JSON values.
 Systems stay at 12 voters or fewer so that each example runs fast.
 """
 
 import contextlib
+import doctest
 import io
 import json
 
@@ -13,13 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banzhaf
-from banzhaf import TruthTable, parse_sop, parse_sym, sop_names
+from banzhaf import parse_sop, parse_sym, sop_names
 from banzhaf.cli import main
 
 
 def test_every_export_resolves():
     for name in banzhaf.__all__:
         assert getattr(banzhaf, name) is not None
+
+
+def test_package_docstring_example_runs():
+    failed, attempted = doctest.testmod(banzhaf)
+    assert attempted >= 1 and failed == 0
 
 
 def returns_or_raises_value_error(fn, *args):
@@ -49,17 +56,6 @@ def test_parse_sop_fuzz(text, names):
 )
 def test_parse_sym_fuzz(text):
     returns_or_raises_value_error(parse_sym, text)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.text()
-    | st.builds(
-        "n={}\n{}".format, st.integers(-3, 10**6), st.text(alphabet="01 \n2", max_size=40)
-    )
-)
-def test_truth_table_from_text_fuzz(text):
-    returns_or_raises_value_error(TruthTable.from_text, text)
 
 
 SMALL_INT = st.integers(-3, 1000) | st.just(10**30)

@@ -2,7 +2,6 @@
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +14,16 @@ from banzhaf import (
     SopSyntaxError,
     TruthTable,
     VotingSystem,
-    cube_weight,
     make_disjoint,
     parse_sop,
-    real_transform_eval,
     sop_names,
     sop_to_tt,
     sop_weight_disjoint,
     sop_weight_ie,
-    sop_weight_real,
     tt_to_minterm_sop,
 )
 from banzhaf.cli import format_sop
+from reference import table_of
 
 XYZ = ["X1", "X2", "X3"]
 TWO_OF_THREE = "X1 X2 | X2 X3 | X1 X3"
@@ -89,6 +86,16 @@ def test_parse_empty_text_is_constant_zero():
     expr = parse_sop("", XYZ)
     assert expr.cubes == ()
     assert sop_to_tt(expr) == TruthTable.constant(3, 0)
+
+
+def test_parse_constant_texts():
+    # the whole text 0 or 1, as format_sop prints a constant
+    assert parse_sop(" 0 ", XYZ).cubes == ()
+    assert sop_to_tt(parse_sop("1", XYZ)) == TruthTable.constant(3, 1)
+    assert parse_sop("1", []).disjoint
+    for text in ("1 | X1", "X1 0", "10", "0 | 1"):
+        with pytest.raises(SopSyntaxError, match="unexpected character"):
+            parse_sop(text, XYZ)
 
 
 def test_parse_unknown_name_reports_position():
@@ -154,11 +161,11 @@ def test_sop_expr_refuses_bits_outside_its_variables():
 
 
 def test_cube_weight_examples():
-    assert cube_weight(cube({1, 2}), 3) == 2
-    assert cube_weight(cube(), 4) == 16
-    assert cube_weight(cube({1, 3}, {2}), 3) == 1
+    # one cube covers 2**(n - literals) rows
+    for n, c, weight in [(3, cube({1, 2}), 2), (4, cube(), 16), (3, cube({1, 3}, {2}), 1)]:
+        assert sop_weight_disjoint(SopExpr(n, (c,), disjoint=True)) == weight
     with pytest.raises(ValueError):
-        cube_weight(cube({1, 2}, {3}), 2)
+        SopExpr(2, (cube({1, 2}, {3}),))
 
 
 def test_certificate_is_computed_and_sound():
@@ -305,40 +312,6 @@ def test_ie_weight_cube_cap():
         sop_weight_ie(expr)
 
 
-def test_real_transform_at_half_recovers_weight():
-    expr = make_disjoint(parse_sop(TWO_OF_THREE, XYZ))
-    half = [Fraction(1, 2)] * 3
-    assert real_transform_eval(expr, half) == Fraction(1, 2)
-    assert sop_weight_real(expr) == 4
-
-
-def test_real_transform_at_vertices_reproduces_function():
-    rng = random.Random(2002)
-    for _ in range(50):
-        expr = make_disjoint(random_sop(rng, max_n=6))
-        table = sop_to_tt(expr)
-        for j in range(1 << expr.n):
-            vertex = [(j >> (expr.n - i)) & 1 for i in range(1, expr.n + 1)]
-            assert real_transform_eval(expr, vertex) == table.row(j)
-
-
-def test_real_transform_exact_rational_point():
-    expr = make_disjoint(parse_sop(TWO_OF_THREE, XYZ))
-    p = [Fraction(9, 10), Fraction(8, 10), Fraction(7, 10)]
-    assert real_transform_eval(expr, p) == Fraction(902, 1000)
-    assert real_transform_eval(expr, [0.9, 0.8, 0.7]) == pytest.approx(0.902)
-
-
-def test_real_transform_input_checking():
-    disjoint = make_disjoint(parse_sop(TWO_OF_THREE, XYZ))
-    with pytest.raises(ValueError):
-        real_transform_eval(parse_sop(TWO_OF_THREE, XYZ), [0.5] * 3)
-    with pytest.raises(ValueError):
-        real_transform_eval(disjoint, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        real_transform_eval(disjoint, [0.5, 0.5, 1.5])
-
-
 # -- conversions -------------------------------------------------------------------
 
 
@@ -364,16 +337,16 @@ def test_minterm_form_cube_cap(monkeypatch):
     with pytest.raises(ValueError, match="MAX_DISJOINT_CUBES"):
         tt_to_minterm_sop(TruthTable.constant(17, 1))  # 2**17 true rows
     monkeypatch.setattr(sop_module, "MAX_DISJOINT_CUBES", 4)
-    assert len(tt_to_minterm_sop(TruthTable.from_rows([0, 1, 1, 1, 0, 1, 0, 0])).cubes) == 4
+    assert len(tt_to_minterm_sop(table_of([0, 1, 1, 1, 0, 1, 0, 0])).cubes) == 4
     with pytest.raises(ValueError, match="5 minterms"):
-        tt_to_minterm_sop(TruthTable.from_rows([0, 1, 1, 1, 0, 1, 0, 1]))
+        tt_to_minterm_sop(table_of([0, 1, 1, 1, 0, 1, 0, 1]))
 
 
 def test_sop_to_tt_rows_after_a_wider_table():
     # a 12-variable table first widens the shared row masks past 2**3 bits
     assert sop_to_tt(parse_sop("a0 a11'", [f"a{k}" for k in range(12)])).weight() == 2**10
     rows = [int(bool(j >> 2 & 1 and not j >> 1 & 1 or j & 1)) for j in range(8)]
-    assert sop_to_tt(parse_sop("X1 X2' | X3", XYZ)) == TruthTable.from_rows(rows)
+    assert sop_to_tt(parse_sop("X1 X2' | X3", XYZ)) == table_of(rows)
 
 
 def test_sum_rule_for_disjoint_functions():
@@ -407,7 +380,6 @@ def test_weight_methods_agree_on_random_sops():
         by_table = sop_to_tt(expr).weight()
         assert sop_weight_ie(expr) == by_table
         assert sop_weight_disjoint(make_disjoint(expr)) == by_table
-        assert sop_weight_real(make_disjoint(expr)) == by_table
 
 
 @st.composite
@@ -437,20 +409,14 @@ def test_weight_and_cover_properties(expr):
     assert sop_to_tt(got) == table
 
 
-
-def read_back(text, names):
-    """`parse_sop` of `format_sop` output, which spells the empty SOP "0"."""
-    return parse_sop("" if text == "0" else text, names)
-
-
 @settings(max_examples=300, deadline=None)
 @given(sops(), st.data())
 def test_format_and_parse_round_trip(expr, data):
     # pins the mapping between mask bit i and the i-th declared name
     names = [f"v{i}" for i in range(1, expr.n + 1)]
-    if all(p | q for p, q in expr.cubes):  # an empty cube prints as "1", not in the grammar
-        assert read_back(format_sop(expr, names), names).cubes == expr.cubes
-    if expr.n:
-        table = TruthTable(expr.n, data.draw(st.integers(0, (1 << (1 << expr.n)) - 1)))
-        minterms = format_sop(tt_to_minterm_sop(table), names)
-        assert sop_to_tt(read_back(minterms, names)) == table
+    # an empty cube prints as "1", which reads back only as the whole text
+    if expr.cubes == ((0, 0),) or all(p | q for p, q in expr.cubes):
+        assert parse_sop(format_sop(expr, names), names).cubes == expr.cubes
+    table = TruthTable(expr.n, data.draw(st.integers(0, (1 << (1 << expr.n)) - 1)))
+    minterms = format_sop(tt_to_minterm_sop(table), names)
+    assert sop_to_tt(parse_sop(minterms, names)) == table

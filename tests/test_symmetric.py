@@ -89,8 +89,9 @@ def test_expansion_identity_reconstructs_function():
         b, c = f.expand()
         n, m = f.n, rng.randint(1, f.n)
         x = TruthTable.variable(n, m)
-        low = SymFn(n - 1, b).to_table().insert_vacuous(m)
-        high = SymFn(n - 1, c).to_table().insert_vacuous(m)
+        others = [k for k in range(1, n + 1) if k != m]
+        low = SymFn(n - 1, b).to_table(others, n)
+        high = SymFn(n - 1, c).to_table(others, n)
         assert (~x & low) ^ (x & high) == f.to_table()
 
 
