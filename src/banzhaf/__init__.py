@@ -5,8 +5,8 @@ function and computes each voter's total and normalized Banzhaf power from
 the weight of the function's Boolean difference.  A planner counts each
 system with the cheapest of three exact sources within its cap: the
 decision diagram, per node; meeting in the middle; or subset-sum counting.
-The cross-check runs all three and compares them with the dense truth
-table's counts.  Supporting machinery - dense truth tables, a
+The cross-check runs every one within its cap and compares them with the
+dense truth table's counts.  Supporting machinery - dense truth tables, a
 sum-of-products algebra with sequential disjointing, and a
 characteristic-set calculus for symmetric functions - is exposed as a
 library; the ``banzhaf`` command wraps it for the command line.

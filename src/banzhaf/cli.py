@@ -159,10 +159,10 @@ def _system_from_args(args: argparse.Namespace) -> VotingSystem:
             raise ValueError("input document needs integer 'quota' and array 'weights'")
         if names is not None and not isinstance(names, list):
             raise ValueError("input document's 'names' must be an array")
-        return VotingSystem(quota, tuple(weights), tuple(names) if names else None)
+        return VotingSystem(quota, tuple(weights), tuple(names) if names is not None else None)
     if args.quota is None or args.weights is None:
         raise ValueError("need --quota and --weights (or --input FILE)")
-    names = tuple(_csv(args.names)) if args.names else None
+    names = tuple(_csv(args.names)) if args.names is not None else None
     return VotingSystem(args.quota, tuple(_int_csv(args.weights)), names)
 
 
@@ -195,7 +195,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_weight(args: argparse.Namespace) -> int:
-    names = _csv(args.names) if args.names else sop_names(args.expr)
+    names = _csv(args.names) if args.names is not None else sop_names(args.expr)
     expr = parse_sop(args.expr, names)
     methods = ("table", "disjoint", "ie") if args.method == "all" else (args.method,)
     results = {}
@@ -221,7 +221,7 @@ def _cmd_derivative(args: argparse.Namespace) -> int:
     if args.expr is not None:
         if args.quota is not None or args.weights is not None or args.input is not None:
             raise ValueError("give either --expr or a voting system, not both")
-        names = _csv(args.names) if args.names else sop_names(args.expr)
+        names = _csv(args.names) if args.names is not None else sop_names(args.expr)
         table = sop_to_tt(parse_sop(args.expr, names))
     else:
         system = _system_from_args(args)

@@ -12,8 +12,8 @@ subset-sum counting over the other voters, under :data:`MAX_DP_BYTES` and
 table instead.  :func:`analyze` counts each system once, with the source of
 least estimated cost among those within their caps, and reads the dummies
 (zero counts) and the symmetry classes (equal counts) off the counts.  Under
-its cross-check it counts on the diagram, runs the other three sources too,
-and treats any disagreement among the four as a hard error.
+its cross-check it runs every source within its cap, takes the weights on
+the table too, and treats any disagreement among them as a hard error.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import gcd
 from operator import add, itemgetter
 from struct import iter_unpack
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .truthtable import N_MAX, TruthTable
 from .voting import Diagram, VotingSystem
@@ -297,18 +298,11 @@ def _dp_swing_counts(
     past :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.  `size`, when given, is
     :func:`_dp_size` of the same input.
     """
-    n = len(weights)
     if quota > sum(weights):  # nobody wins, so nobody swings (all-zero weights too)
-        return (0,) * n
+        return (0,) * len(weights)
     size = size or _dp_size(quota, weights)
     if not size.fits():
-        hint = (
-            "; under verify=False (--no-oracle on the command line) the cheapest "
-            "source within its cap counts instead"
-            if n <= N_MAX
-            else ""
-        )
-        raise ValueError(size.refusal() + hint)
+        raise ValueError(size.refusal())
     g, q, nbytes, steps = size.g, size.q, size.nbytes, size.steps
     bits = 8 * nbytes
     mask = (1 << q * bits) - 1
@@ -411,66 +405,69 @@ def _dd_nodes(weights: tuple[int, ...], g: int) -> int:
     return sum(map(min, before[:-1], after[:-1]))
 
 
-def _plan(quota: int, weights: tuple[int, ...]) -> tuple[str, Optional[_DPSize]]:
-    """The count source ``analyze(verify=False)`` runs, and the DP's size.
+def _sources(
+    system: VotingSystem, diagram: Callable[[], Diagram]
+) -> dict[str, tuple[float, Callable[[], tuple[int, ...]]]]:
+    """Every count source within its cap, as ``{name: (estimated cost, call)}``.
 
-    Of the sources within their caps - subset-sum counting under
-    :data:`MAX_DP_BYTES` and :data:`MAX_DP_WORK`, meeting in the middle up to
-    :data:`MAX_MITM_VOTERS` voters, the diagram up to
-    :data:`~banzhaf.truthtable.N_MAX` - the one of least estimated cost.  Each
-    estimate takes O(n).  Raises ``ValueError`` when every source is over its
-    cap.
+    The sources are subset-sum counting under :data:`MAX_DP_BYTES` and
+    :data:`MAX_DP_WORK`, meeting in the middle up to :data:`MAX_MITM_VOTERS`
+    voters, and the diagram that `diagram` returns, up to
+    :data:`~banzhaf.truthtable.N_MAX` voters.  Each cost is estimated in
+    O(n), in microseconds, before anything runs; each call returns the raw
+    swing counts.  Raises ``ValueError`` when every source is over its cap.
     """
-    n = len(weights)
-    if quota > sum(weights):  # constant 0: the counter returns at once
-        return "subset-sum", None
-    size = _dp_size(quota, weights)
-    costs = {}
-    if size.fits():
+    n, quota, weights = system.n, system.quota, system.weights
+    sources = {}
+    size = _dp_size(quota, weights) if quota <= system.total_weight else None
+    if size is None:  # constant 0: the counter returns at once
+        sources["subset-sum"] = 0.0, lambda: _dp_swing_counts(quota, weights)
+    elif size.fits():
         q, nbytes = size.q, size.nbytes
         # per-voter passes, plus log2(q) prefix passes unless every field is decoded
         passes = size.work + (0 if size.dense() else q * nbytes * (q - 1).bit_length())
-        fields = min(3 * size.reads, q)
-        costs["subset-sum"] = _DP_US + _DP_US_PER_BYTE_OP * passes + _DP_US_PER_FIELD * fields
-    if n <= MAX_MITM_VOTERS:
-        sums = (1 << (n + 1) // 2) + (1 << n // 2)
-        costs["meet-in-the-middle"] = _MITM_US + _MITM_US_PER_SUM * sums
-    if n <= N_MAX:
-        costs["diagram"] = _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g)
-    if not costs:
+        cost = _DP_US + _DP_US_PER_BYTE_OP * passes + _DP_US_PER_FIELD * min(3 * size.reads, q)
+        sources["subset-sum"] = cost, lambda: _dp_swing_counts(quota, weights, size)
+    if n <= MAX_MITM_VOTERS:  # 2**(n/2) subset sums per half
+        cost = _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2))
+        sources["meet-in-the-middle"] = cost, lambda: _mitm_swing_counts(quota, weights)
+    if n <= N_MAX:  # gcd 1 bounds a constant rule too, whose weights may all be 0
+        cost = _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g if size else 1)
+        sources["diagram"] = cost, lambda: _dd_swing_counts(diagram())
+    if not sources:  # so size is a table over its caps
         raise ValueError(
             f"no count source fits {n} voters: past N_MAX = {N_MAX} for the decision "
             f"diagram and MAX_MITM_VOTERS = {MAX_MITM_VOTERS} for meeting in the middle, "
             f"and the {size.refusal()}"
         )
-    return min(costs, key=costs.__getitem__), size
+    return sources
 
 
 def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     """Analyze a voting system: powers, dummies, symmetry classes, findings.
 
-    The swing counts are the Boolean-difference weights, counted once by the
-    cheapest exact source within its cap: subset-sum counting, meeting in
-    the middle, or the rule's decision diagram
+    The swing counts are the Boolean-difference weights, counted by the
+    exact sources within their caps (:func:`_sources`): subset-sum
+    counting, meeting in the middle, and the rule's decision diagram
     (:meth:`~banzhaf.voting.VotingSystem.diagram`).  Each cost is estimated
     in O(n) before anything runs; when every source is over its cap,
-    ``ValueError`` is raised before anything is built.  No truth table is
-    built unless `verify` is on.  The counts are the same exact integers
-    whichever source gives them, and so is the report: the dummies are the
-    zero counts and the classes the groups of equal counts, since two voters
-    of a weighted rule are interchangeable exactly when they swing equally
-    often (Taylor & Zwicker, *Simple Games*, 1999).  The structural findings
-    are read off the rule: it is monotone, and causal unless the quota
-    exceeds the total weight, when it is constant.  By default up to
+    ``ValueError`` is raised before anything is built.  Without `verify`
+    only the source of least estimated cost runs, and no truth table is
+    built.  The counts are the same exact integers whichever source gives
+    them, and so is the report: the dummies are the zero counts and the
+    classes the groups of equal counts, since two voters of a weighted rule
+    are interchangeable exactly when they swing equally often (Taylor &
+    Zwicker, *Simple Games*, 1999).  The structural findings are read off
+    the rule: it is monotone, and causal unless the quota exceeds the total
+    weight, when it is constant.  By default up to
     :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way)
-    the counts come from the diagram, the table is folded from the same
-    diagram, and four count sources must agree: the diagram, the table's
-    Boolean-difference weights (:func:`tbp_all`), meet-in-the-middle and
-    subset-sum counting.  The dummies, classes and findings are checked
-    against the table's vacuity, transposition, monotonicity and causality
-    tests and its weight.  ``verify=True`` beyond
-    :data:`~banzhaf.truthtable.N_MAX` voters, where there is no table to
-    check against, raises ``ValueError`` at once.
+    every source within its cap runs, the table is folded from the same
+    diagram, and all their counts must agree with the table's
+    Boolean-difference weights (:func:`tbp_all`).  The dummies, classes and
+    findings are checked against the table's vacuity, transposition,
+    monotonicity and causality tests and its weight.  ``verify=True``
+    beyond :data:`~banzhaf.truthtable.N_MAX` voters, where there is no table
+    to check against, raises ``ValueError`` at once.
     """
     n = system.n
     if verify is None:
@@ -482,29 +479,20 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     quota, weights, total = system.quota, system.weights, system.total_weight
     # non-negative weights can only help a bill, and the empty coalition loses
     checks = StructuralChecks(True, quota <= total, quota > total)
-    if verify:  # the table is folded from the same diagram
-        diagram = system.diagram()
-        raw = _dd_swing_counts(diagram)
+    diagram = cache(system.diagram)  # its counts and the table share one build
+    sources = _sources(system, diagram)
+    if verify:  # so n <= N_MAX: the diagram and meeting in the middle fit
+        counts = {name: _essential(count()) for name, (_, count) in sources.items()}
+        table = diagram().to_table()
+        counts["table"] = tbp_all(table, _groups(weights))
+        tbp_vec = counts["diagram"]
     else:
-        source, size = _plan(quota, weights)
-        if source == "subset-sum":
-            raw = _dp_swing_counts(quota, weights, size)
-        elif source == "meet-in-the-middle":
-            raw = _mitm_swing_counts(quota, weights)
-        else:
-            raw = _dd_swing_counts(system.diagram())
-    tbp_vec = _essential(raw)
+        _, count = min(sources.values(), key=itemgetter(0))
+        tbp_vec = _essential(count())
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)
 
-    if verify:  # so n <= N_MAX, and the diagram exists
-        table = diagram.to_table()
-        sources = {
-            "diagram": tbp_vec,
-            "table": tbp_all(table, _groups(weights)),
-            "meet-in-the-middle": tbp_oracle_mitm(system),
-            "subset-sum": tbp_oracle_dp(system),
-        }
+    if verify:
         # One transposition per class member after the first, n - k in all,
         # is as strong as checking every pair of voters:
         # - same class => symmetric: symmetry under a transposition of two
@@ -517,7 +505,7 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
         #   difference weights, so each voter's count is its own halved
         #   difference weight, and symmetric voters have equal counts.
         if not (
-            len(set(sources.values())) == 1
+            len(set(counts.values())) == 1
             and checks
             == StructuralChecks(
                 table.is_monotone(), table.is_causal(), table.weight() in (0, 1 << n)
@@ -525,9 +513,9 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
             and all((i in dummies) == table.is_vacuous_in(i) for i in range(1, n + 1))
             and all(table.is_symmetric_in(group[0], i) for group in classes for i in group[1:])
         ):
-            counts = " ".join(f"{name}={vec}" for name, vec in sources.items())
+            found = " ".join(f"{name}={vec}" for name, vec in counts.items())
             raise OracleDisagreementError(
-                f"analysis of {system} fails its cross-check: {counts} "
+                f"analysis of {system} fails its cross-check: {found} "
                 f"dummies={sorted(dummies)} classes={classes} checks={checks}"
             )
 

@@ -89,12 +89,30 @@ def test_analyze_oracle_skipped_above_auto_limit(capsys):
 
 def test_analyze_huge_weights_need_no_oracle(capsys):
     huge = ["--quota", str(2 * 10**12), "--weights", f"{10**12 - 1},{10**12},{10**12 + 1}"]
+    # the subset-sum table is over its cap, so the cross-check runs the other sources
     code, out, err = run_cli(capsys, "analyze", *huge)
-    assert code == 2 and out == ""
-    assert "--no-oracle" in err
-    code, out, _ = run_cli(capsys, "analyze", *huge, "--no-oracle", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["tbp"] == [1, 1, 3]
+    assert code == 0 and err == ""
+    assert out.endswith("oracle: verified\n")
+    for flags in ([], ["--no-oracle"]):
+        code, out, _ = run_cli(capsys, "analyze", *huge, *flags, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["tbp"] == [1, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "empty_names.json"],
+        ["analyze", "--quota", "2", "--weights", "1,1", "--names", ""],
+        ["weight", "X1 X2", "--names", ""],
+        ["derivative", "--expr", "X1 X2", "--voter", "X1", "--names", ""],
+    ],
+)
+def test_empty_name_lists_are_refused(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("empty_names.json").write_text('{"quota": 2, "weights": [1, 1], "names": []}')
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err
 
 
 def test_analyze_from_input_file(tmp_path, capsys):

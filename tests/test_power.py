@@ -382,10 +382,12 @@ def test_dp_kernel_refuses_huge_tables_without_allocating():
     # 30 of them are within meet-in-the-middle's cap, and no voter is a dummy
     thirty = VotingSystem(sum(weights[:30]) // 2, weights[:30])
     assert analyze(thirty).tbp == mitm_swings(thirty.quota, thirty.weights)
+    # the cross-check skips the subset-sum table of three such voters, not the system
     small = VotingSystem(2 * 10**12, (10**12 - 1, 10**12, 10**12 + 1))
-    with pytest.raises(ValueError, match="verify=False"):
-        analyze(small)
-    assert analyze(small, verify=False).tbp == (1, 1, 3)
+    with pytest.raises(ValueError, match="MAX_DP_BYTES"):
+        tbp_oracle_dp(small)
+    assert analyze(small).oracle_verified
+    assert analyze(small).tbp == analyze(small, verify=False).tbp == (1, 1, 3)
 
 
 def test_dp_kernel_refuses_too_much_work(monkeypatch):
@@ -399,9 +401,8 @@ def test_dp_kernel_refuses_too_much_work(monkeypatch):
     monkeypatch.setattr(power_module, "MAX_DP_WORK", 11)
     with pytest.raises(ValueError, match="MAX_DP_WORK"):
         tbp_oracle_dp(system)
-    with pytest.raises(ValueError, match="verify=False"):
-        analyze(system)
-    assert analyze(system, verify=False).tbp == ref_swings(system)
+    assert analyze(system).oracle_verified  # over its cap, the counter sits the cross-check out
+    assert analyze(system).tbp == analyze(system, verify=False).tbp == ref_swings(system)
 
 
 def test_dp_work_cap_refuses_at_once():
@@ -424,8 +425,10 @@ def test_dp_work_cap_refuses_at_once():
 )
 def test_planner_picks_the_cheapest_source(weights, source):
     quota = sum(weights) // 2 + 1
-    assert power_module._plan(quota, weights)[0] == source
-    report = analyze(VotingSystem(quota, weights))
+    system = VotingSystem(quota, weights)
+    sources = power_module._sources(system, system.diagram)
+    assert min(sources, key=lambda name: sources[name][0]) == source
+    report = analyze(system)
     assert not report.dummies  # so the counts need no halving
     assert report.tbp == mitm_swings(quota, weights)
 
@@ -441,6 +444,7 @@ def planner_systems(draw):
 @given(planner_systems())
 @example(VotingSystem(10**12, (10**12, 3 * 10**11 + 7, 5)))  # a table past MAX_DP_BYTES
 @example(VotingSystem(4, (0, 0, 0)))  # quota past the total, all weights zero
+@example(VotingSystem(9, (1, 2, 3)))  # quota past the total, weights not all zero
 def test_every_planned_source_gives_the_enumerated_report(system):
     tbp = enum_tbp(system)
     dummies = {i for i, c in enumerate(tbp, 1) if c == 0}
@@ -448,15 +452,17 @@ def test_every_planned_source_gives_the_enumerated_report(system):
     for i, c in enumerate(tbp, 1):
         classes.setdefault(c, []).append(i)
     quota, weights = system.quota, system.weights
-    sources = ["meet-in-the-middle", "diagram"]
-    if quota > sum(weights) or power_module._dp_size(quota, weights).fits():
-        sources.append("subset-sum")
-    for source in sources:
-        with mock.patch.object(power_module, "_plan", return_value=(source, None)):
-            report = analyze(system, verify=False)
+    sources = power_module._sources(system, system.diagram)
+    fits = quota > sum(weights) or power_module._dp_size(quota, weights).fits()
+    assert set(sources) == {"meet-in-the-middle", "diagram"} | ({"subset-sum"} if fits else set())
+    for name, (_, count) in sources.items():
+        assert power_module._essential(count()) == tbp, name
+    for verify in (False, True):
+        report = analyze(system, verify=verify)
         assert report.tbp == tbp
         assert report.dummies == dummies
         assert report.classes == tuple(map(tuple, classes.values()))
+        assert report.oracle_verified == verify
 
 
 def test_analyze_of_28_voters_near_10_to_the_12_is_fast():
