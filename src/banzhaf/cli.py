@@ -93,7 +93,8 @@ class ReportDocument:
         }
         return json.dumps(doc, indent=2) + "\n"
 
-    def to_text(self) -> str:
+    def to_text(self, no_oracle: bool) -> str:
+        """The aligned table; `no_oracle` says the cross-check was disabled, not skipped by n."""
         system, report = self.system, self.report
         rows = []
         for k, name in enumerate(system.voter_names):
@@ -120,10 +121,9 @@ class ReportDocument:
         lines.append("checks: " + " ".join(f"{k}={str(v).lower()}" for k, v in checks))
         if report.oracle_verified:
             lines.append("oracle: verified")
-        elif system.n <= ORACLE_AUTO_LIMIT:
-            lines.append("oracle: not run (disabled)")
         else:
-            lines.append(f"oracle: not run (n > {ORACLE_AUTO_LIMIT})")
+            why = "disabled" if no_oracle else f"n > {ORACLE_AUTO_LIMIT}"
+            lines.append(f"oracle: not run ({why})")
         return "\n".join(lines) + "\n"
 
 
@@ -190,7 +190,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     verify = False if args.no_oracle else None
     report = analyze(system, verify=verify)
     doc = ReportDocument(system, report)
-    sys.stdout.write(doc.to_json() if args.format == "json" else doc.to_text())
+    sys.stdout.write(doc.to_json() if args.format == "json" else doc.to_text(args.no_oracle))
     return EXIT_CONSTANT if report.checks.constant else EXIT_OK
 
 

@@ -13,7 +13,7 @@ table instead.  :func:`analyze` counts each system once, with the source of
 least estimated cost among those within their caps, and reads the dummies
 (zero counts) and the symmetry classes (equal counts) off the counts.  Under
 its cross-check it runs every source within its cap, takes the weights on
-the table too, and treats any disagreement among them as a hard error.
+the table too, one derivative per class, and fails on any disagreement.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -407,33 +407,37 @@ def _dd_nodes(weights: tuple[int, ...], g: int) -> int:
 
 def _sources(
     system: VotingSystem, diagram: Callable[[], Diagram]
-) -> dict[str, tuple[float, Callable[[], tuple[int, ...]]]]:
-    """Every count source within its cap, as ``{name: (estimated cost, call)}``.
+) -> dict[str, tuple[Callable[[], float], Callable[[], tuple[int, ...]]]]:
+    """Every count source within its cap, as ``{name: (cost, call)}``.
 
     The sources are subset-sum counting under :data:`MAX_DP_BYTES` and
     :data:`MAX_DP_WORK`, meeting in the middle up to :data:`MAX_MITM_VOTERS`
     voters, and the diagram that `diagram` returns, up to
-    :data:`~banzhaf.truthtable.N_MAX` voters.  Each cost is estimated in
-    O(n), in microseconds, before anything runs; each call returns the raw
-    swing counts.  Raises ``ValueError`` when every source is over its cap.
+    :data:`~banzhaf.truthtable.N_MAX` voters.  Each cost, called only to pick
+    one source, estimates in O(n) the call's time in microseconds; each call
+    returns the raw swing counts.  Raises ``ValueError`` when no source fits.
     """
     n, quota, weights = system.n, system.quota, system.weights
     sources = {}
     size = _dp_size(quota, weights) if quota <= system.total_weight else None
     if size is None:  # constant 0: the counter returns at once
-        sources["subset-sum"] = 0.0, lambda: _dp_swing_counts(quota, weights)
+        sources["subset-sum"] = lambda: 0.0, lambda: _dp_swing_counts(quota, weights)
     elif size.fits():
         q, nbytes = size.q, size.nbytes
         # per-voter passes, plus log2(q) prefix passes unless every field is decoded
         passes = size.work + (0 if size.dense() else q * nbytes * (q - 1).bit_length())
-        cost = _DP_US + _DP_US_PER_BYTE_OP * passes + _DP_US_PER_FIELD * min(3 * size.reads, q)
-        sources["subset-sum"] = cost, lambda: _dp_swing_counts(quota, weights, size)
+        dp_cost = _DP_US + _DP_US_PER_BYTE_OP * passes + _DP_US_PER_FIELD * min(3 * size.reads, q)
+        sources["subset-sum"] = lambda: dp_cost, lambda: _dp_swing_counts(quota, weights, size)
     if n <= MAX_MITM_VOTERS:  # 2**(n/2) subset sums per half
-        cost = _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2))
-        sources["meet-in-the-middle"] = cost, lambda: _mitm_swing_counts(quota, weights)
+        sources["meet-in-the-middle"] = (
+            lambda: _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),
+            lambda: _mitm_swing_counts(quota, weights),
+        )
     if n <= N_MAX:  # gcd 1 bounds a constant rule too, whose weights may all be 0
-        cost = _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g if size else 1)
-        sources["diagram"] = cost, lambda: _dd_swing_counts(diagram())
+        sources["diagram"] = (
+            lambda: _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g if size else 1),
+            lambda: _dd_swing_counts(diagram()),
+        )
     if not sources:  # so size is a table over its caps
         raise ValueError(
             f"no count source fits {n} voters: past N_MAX = {N_MAX} for the decision "
@@ -449,11 +453,10 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     The swing counts are the Boolean-difference weights, counted by the
     exact sources within their caps (:func:`_sources`): subset-sum
     counting, meeting in the middle, and the rule's decision diagram
-    (:meth:`~banzhaf.voting.VotingSystem.diagram`).  Each cost is estimated
-    in O(n) before anything runs; when every source is over its cap,
-    ``ValueError`` is raised before anything is built.  Without `verify`
-    only the source of least estimated cost runs, and no truth table is
-    built.  The counts are the same exact integers whichever source gives
+    (:meth:`~banzhaf.voting.VotingSystem.diagram`).  When every source is
+    over its cap, ``ValueError`` is raised before anything is built.
+    Without `verify` only the source of least cost, estimated in O(n), runs,
+    and no truth table is built.  The counts are the same exact integers whichever source gives
     them, and so is the report: the dummies are the zero counts and the
     classes the groups of equal counts, since two voters of a weighted rule
     are interchangeable exactly when they swing equally often (Taylor &
@@ -462,12 +465,12 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     weight, when it is constant.  By default up to
     :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way)
     every source within its cap runs, the table is folded from the same
-    diagram, and all their counts must agree with the table's
-    Boolean-difference weights (:func:`tbp_all`).  The dummies, classes and
-    findings are checked against the table's vacuity, transposition,
-    monotonicity and causality tests and its weight.  ``verify=True``
-    beyond :data:`~banzhaf.truthtable.N_MAX` voters, where there is no table
-    to check against, raises ``ValueError`` at once.
+    diagram, and all their counts must agree with the table's weights, one
+    derivative per class (:func:`tbp_all`).  One transposition per class
+    member after the first checks the classes, that agreement the dummies,
+    and the table's monotonicity, causality and weight the findings.
+    ``verify=True`` beyond :data:`~banzhaf.truthtable.N_MAX` voters, where
+    there is no table to check against, raises ``ValueError`` at once.
     """
     n = system.n
     if verify is None:
@@ -476,41 +479,36 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
         raise ValueError(
             f"verify needs a truth table, at most N_MAX = {N_MAX} voters: pass verify=False for {n}"
         )
-    quota, weights, total = system.quota, system.weights, system.total_weight
+    quota, total = system.quota, system.total_weight
     # non-negative weights can only help a bill, and the empty coalition loses
     checks = StructuralChecks(True, quota <= total, quota > total)
     diagram = cache(system.diagram)  # its counts and the table share one build
     sources = _sources(system, diagram)
     if verify:  # so n <= N_MAX: the diagram and meeting in the middle fit
         counts = {name: _essential(count()) for name, (_, count) in sources.items()}
-        table = diagram().to_table()
-        counts["table"] = tbp_all(table, _groups(weights))
         tbp_vec = counts["diagram"]
     else:
-        _, count = min(sources.values(), key=itemgetter(0))
+        _, count = min(sources.values(), key=lambda source: source[0]())
         tbp_vec = _essential(count())
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)
 
     if verify:
-        # One transposition per class member after the first, n - k in all,
-        # is as strong as checking every pair of voters:
-        # - same class => symmetric: symmetry under a transposition of two
-        #   variables is an equivalence relation, so members symmetric with
-        #   their class's first member are symmetric with each other;
-        # - symmetric => same class: the table's source gives each group of
-        #   equal weights one count, so once the sources agree each such group
-        #   lies in one class, and by the above its members are symmetric with
-        #   the one tbp_all differentiated.  Symmetric variables have equal
-        #   difference weights, so each voter's count is its own halved
-        #   difference weight, and symmetric voters have equal counts.
+        # The transpositions, one per class member after the first, show that
+        # each class is symmetric in the table, so the one derivative per
+        # class that tbp_all takes is every member's exact weight.  The
+        # sources must equal those weights, and a voter's weight is zero
+        # exactly when the table is vacuous in it, so that equality checks
+        # the dummies too.  Symmetric voters have equal weights, so they share
+        # a class, and the classes are the table's symmetry classes.
+        table = diagram().to_table()
+        counts["table"] = tbp_all(table, classes)
         if not (
             len(set(counts.values())) == 1
             and checks
             == StructuralChecks(
                 table.is_monotone(), table.is_causal(), table.weight() in (0, 1 << n)
             )
-            and all((i in dummies) == table.is_vacuous_in(i) for i in range(1, n + 1))
             and all(table.is_symmetric_in(group[0], i) for group in classes for i in group[1:])
         ):
             found = " ".join(f"{name}={vec}" for name, vec in counts.items())

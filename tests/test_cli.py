@@ -85,6 +85,9 @@ def test_analyze_oracle_skipped_above_auto_limit(capsys):
     assert out.endswith("oracle: not run (n > 12)\n")
     code, out, _ = run_cli(capsys, "analyze", *fourteen, "--format", "json")
     assert json.loads(out)["oracle_verified"] is False
+    code, out, _ = run_cli(capsys, "analyze", *fourteen, "--no-oracle")
+    assert code == 0
+    assert out.endswith("oracle: not run (disabled)\n")  # the flag says why, not n
 
 
 def test_analyze_huge_weights_need_no_oracle(capsys):

@@ -427,7 +427,7 @@ def test_planner_picks_the_cheapest_source(weights, source):
     quota = sum(weights) // 2 + 1
     system = VotingSystem(quota, weights)
     sources = power_module._sources(system, system.diagram)
-    assert min(sources, key=lambda name: sources[name][0]) == source
+    assert min(sources, key=lambda name: sources[name][0]()) == source
     report = analyze(system)
     assert not report.dummies  # so the counts need no halving
     assert report.tbp == mitm_swings(quota, weights)
@@ -666,16 +666,38 @@ def test_structural_checks_are_cross_checked(monkeypatch):
     assert analyze(VotingSystem(2, (1, 1)), verify=False).checks.monotone
 
 
-def test_verify_catches_every_flipped_table_row(monkeypatch):
+@pytest.mark.parametrize("system", [EEC, EEEC], ids=["six", "nine"])
+def test_verify_catches_every_flipped_table_row(monkeypatch, system):
     fold = Diagram.to_table
-    for row in range(1 << EEC.n):
+    for row in range(1 << system.n):
 
         def flipped(self, row=row):
             return TruthTable(self.n, fold(self).bits ^ (1 << row))
 
         monkeypatch.setattr(Diagram, "to_table", flipped)
         with pytest.raises(OracleDisagreementError):
-            analyze(EEC, verify=True)
+            analyze(system, verify=True)
+
+
+def test_verify_takes_one_derivative_per_class(monkeypatch):
+    calls = {"difference_weight": [], "is_symmetric_in": []}
+    for name, calls_of in calls.items():
+        method = getattr(TruthTable, name)
+
+        def spy(self, *args, method=method, calls_of=calls_of):
+            calls_of.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(TruthTable, name, spy)
+
+    def refuse(*args):
+        raise AssertionError("not called under verify")
+
+    monkeypatch.setattr(TruthTable, "is_vacuous_in", refuse)
+    monkeypatch.setattr(power_module, "_dd_nodes", refuse)
+    report = analyze(VotingSystem(4, (3, 2, 2)), verify=True)  # 2 of 3: one class
+    assert report.classes == ((1, 2, 3),) and report.oracle_verified
+    assert calls == {"difference_weight": [(1,)], "is_symmetric_in": [(1, 2), (1, 3)]}
 
 
 def test_classes_are_checked_with_one_transposition_per_extra_member(monkeypatch):
