@@ -230,8 +230,24 @@ def tbp_oracle_mitm(system: VotingSystem) -> tuple[int, ...]:
 # -- subset-sum oracle -----------------------------------------------------------
 
 
+# The subset-sum counter's cost model in microseconds: a fixed cost per call,
+# and a cost per byte operation of the big-integer passes, per decoded field,
+# per strided byte sum (one per byte of a field in each run of prefix sums
+# read) and per byte summed.  A least-squares fit of the relative error on 369
+# systems (councils of 4-12 voters with weights up to 50; 8-28 voters with
+# weights up to 10..10**12, all distinct, 1-4 distinct, or multiples of a unit
+# plus dummies; 60-250 voters with weights up to 100; quotas of 50-67 %), each
+# timed in both cases on a 2-vCPU Xeon with Python 3.11.7.  Its estimates ran
+# 0.2-1.8 times the measured time, low on tables of tens of MB.  On 378 more
+# of the same kinds the case it picks took 1.004 times the faster case's time
+# on average, 1.26 times at worst.
+_DP_US, _DP_US_PER_BYTE_OP = 11.5, 4.16e-4
+_DP_US_PER_FIELD, _DP_US_PER_RUN, _DP_US_PER_BYTE_SUM = 0.163, 0.62, 1.16e-3
+
+
 class _DPSize(NamedTuple):
-    """The subset-sum counter's table for one input, after the gcd reduction."""
+    """The subset-sum counter's table for one input, after the gcd reduction,
+    and its cost: which case reads the window sums, and the estimated time."""
 
     g: int  # the gcd of the weights
     q: int  # the reduced quota: the table's fields
@@ -243,9 +259,24 @@ class _DPSize(NamedTuple):
     def fits(self) -> bool:
         return self.q * self.nbytes <= MAX_DP_BYTES and self.work <= MAX_DP_WORK
 
+    def read_costs(self) -> tuple[float, float]:
+        """Estimated time of the window sums by each case: decoding all ``q``
+        fields, or ``log2(q)`` prefix passes and then, per run of prefix sums
+        read, one strided byte sum per byte of a field."""
+        q, nbytes = self.q, self.nbytes
+        runs = 1 + 2 * len(self.steps)
+        prefix_passes = q * nbytes * (q - 1).bit_length()
+        byte_sums = nbytes * (_DP_US_PER_RUN * runs + _DP_US_PER_BYTE_SUM * self.reads)
+        return _DP_US_PER_FIELD * q, _DP_US_PER_BYTE_OP * prefix_passes + byte_sums
+
     def dense(self) -> bool:
-        """Whether every field is decoded: a lone read costs ~3 decoded fields."""
-        return 3 * self.reads >= self.q
+        """Whether every field is decoded: the cheaper case by :meth:`read_costs`."""
+        decode_all, byte_sums = self.read_costs()
+        return decode_all <= byte_sums
+
+    def cost(self) -> float:
+        """Estimated time of :func:`_dp_swing_counts`: the per-voter passes and the cheaper read."""
+        return _DP_US + _DP_US_PER_BYTE_OP * self.work + min(self.read_costs())
 
     def refusal(self) -> str:
         return (
@@ -287,14 +318,15 @@ def _dp_swing_counts(
 
     Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes, after
     the gcd reduction, then the window sums.  Those read about ``q / w``
-    prefix sums per distinct weight, ``sum(q // w)`` in all.  A lone read
-    costs about three decoded fields, so from ``q / 3`` reads on (the dense
-    case) every count is decoded once, :data:`DP_BLOCK` at a time, summed
-    into prefix sums, and each window sum is a C-level strided slice of the
-    block; otherwise the same shift-and-add turns the packed counts into
-    prefix sums in ``log2(q)`` more passes and each is read on its own.  At
-    most ``min(3 * sum(q // w), q)`` fields are decoded, and nothing
-    proportional to the total weight is allocated.  Raises ``ValueError``
+    prefix sums per distinct weight, ``sum(q // w)`` in all, in runs of every
+    ``2w``-th one.  The counter takes the case that :meth:`_DPSize.dense`
+    estimates cheaper.  Either every count is decoded once, :data:`DP_BLOCK`
+    at a time, and summed into prefix sums, and each window sum is a C-level
+    strided slice of the block.  Or the same shift-and-add turns the packed
+    counts into prefix sums in ``log2(q)`` more passes, and no field is
+    decoded: by linearity a run's sum is, over the bytes of a field, one
+    C-level strided slice of that byte summed and shifted into place.
+    Nothing proportional to the total weight is allocated.  Raises ``ValueError``
     past :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.  `size`, when given, is
     :func:`_dp_size` of the same input.
     """
@@ -347,13 +379,15 @@ def _dp_swing_counts(
             poly = (poly + (poly << span * bits)) & mask
             span *= 2
         packed = poly.to_bytes(q * nbytes, "little")
+        del poly, mask  # only the packed prefix sums stay alive during the reads
 
         def prefixes(top: int, step: int) -> int:
-            """Sum of pre[top] + pre[top - step] + .. over t > 0, one field read each."""
-            return sum(
-                int.from_bytes(packed[end - nbytes : end], "little")
-                for end in range(top * nbytes, 0, -step * nbytes)
-            )
+            """Sum of pre[top] + pre[top - step] + .. over t > 0: by linearity, the
+            sum of each byte of those fields, one strided slice each, in place."""
+            if top <= 0:  # a negative start would wrap around to the end
+                return 0
+            start, stride = (top - 1) * nbytes, -step * nbytes
+            return sum(sum(packed[start + j :: stride]) << 8 * j for j in range(nbytes))
 
         losing = prefixes(q, q)
         alternating = {r: prefixes(q - r, 2 * r) - prefixes(q - 2 * r, 2 * r) for r in steps}
@@ -371,13 +405,13 @@ def tbp_oracle_dp(system: VotingSystem) -> tuple[int, ...]:
 # -- full analysis ------------------------------------------------------------
 
 
-# The planner's cost model in microseconds: a fixed cost per call plus a cost
-# per unit of each source's size.  A least-squares fit of the relative error
-# on 378 systems (n = 8..32; weights up to 10..10**12, all distinct, 1-4
-# distinct, or multiples of a unit plus dummies; quotas of 50-67 %) on a
-# 2-vCPU Xeon with Python 3.11.  On 378 more of the same kinds its pick took
-# 1.02 times the fastest source's time on average, 2.7 times at worst.
-_DP_US, _DP_US_PER_BYTE_OP, _DP_US_PER_FIELD = 17.0, 6.3e-4, 0.165
+# The planner's cost model for the other sources, in microseconds: a fixed cost
+# per call plus a cost per subset sum or per diagram node.  A least-squares fit
+# of the relative error on 378 systems (n = 8..32; weights up to 10..10**12,
+# all distinct, 1-4 distinct, or multiples of a unit plus dummies; quotas of
+# 50-67 %) on a 2-vCPU Xeon with Python 3.11.  With the counter's own model
+# above, on the 400 held-out systems of its grid the pick took 1.015 times the
+# fastest source's time on average, 1.80 times at worst.
 _MITM_US, _MITM_US_PER_SUM = 3.0, 0.57
 _DD_US, _DD_US_PER_NODE = 10.0, 1.6
 
@@ -423,11 +457,7 @@ def _sources(
     if size is None:  # constant 0: the counter returns at once
         sources["subset-sum"] = lambda: 0.0, lambda: _dp_swing_counts(quota, weights)
     elif size.fits():
-        q, nbytes = size.q, size.nbytes
-        # per-voter passes, plus log2(q) prefix passes unless every field is decoded
-        passes = size.work + (0 if size.dense() else q * nbytes * (q - 1).bit_length())
-        dp_cost = _DP_US + _DP_US_PER_BYTE_OP * passes + _DP_US_PER_FIELD * min(3 * size.reads, q)
-        sources["subset-sum"] = lambda: dp_cost, lambda: _dp_swing_counts(quota, weights, size)
+        sources["subset-sum"] = size.cost, lambda: _dp_swing_counts(quota, weights, size)
     if n <= MAX_MITM_VOTERS:  # 2**(n/2) subset sums per half
         sources["meet-in-the-middle"] = (
             lambda: _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),

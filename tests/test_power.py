@@ -192,36 +192,35 @@ def dp_case(quota, weights):
     return counts, "dense" if decode_all.called else "sparse"
 
 
-@st.composite
-def dense_dp_systems(draw):
-    # a weight-1 voter alone reads q prefix sums one by one
-    weights = draw(st.permutations(draw(st.lists(st.integers(0, 30), max_size=9)) + [1]))
-    return draw(st.integers(1, sum(weights))), tuple(weights)
+def forced_case(case):
+    """Make the subset-sum counter read its window sums by `case`, whatever
+    its cost model picks: ``dense`` decodes every field, ``sparse`` none."""
+    return mock.patch.object(power_module._DPSize, "dense", lambda size: case == "dense")
 
 
 @st.composite
-def sparse_dp_systems(draw):
-    # a few co-prime values near 10**5 (each appears, zeros may join): about
-    # q / 10**4 reads per distinct weight, far fewer than q in all
-    values = draw(st.lists(st.integers(10**4, 10**5), min_size=2, max_size=4, unique=True))
-    assume(gcd(*values) == 1)
-    extra = draw(st.lists(st.sampled_from(values + [0]), max_size=12 - len(values)))
-    weights = draw(st.permutations(values + extra))
-    return draw(st.integers(1, sum(weights))), tuple(weights)
+def dp_case_systems(draw):
+    # small weights, so many runs of prefix sums, or a few co-prime values
+    # near 10**5 (each appears, zeros may join), so long strides between reads
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 30), min_size=1, max_size=14))
+    else:
+        values = draw(st.lists(st.integers(10**4, 10**5), min_size=2, max_size=4, unique=True))
+        assume(gcd(*values) == 1)
+        weights = values + draw(st.lists(st.sampled_from(values + [0]), max_size=14 - len(values)))
+    weights = tuple(draw(st.permutations(weights)))
+    assume(sum(weights) > 0)
+    return draw(st.integers(1, sum(weights))), weights
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(
-        dense_dp_systems().map(lambda system: ("dense", system)),
-        sparse_dp_systems().map(lambda system: ("sparse", system)),
-    )
-)
-def test_dp_kernel_matches_enumeration_in_both_cases(case_and_system):
-    case, (quota, weights) = case_and_system
-    counts, reached = dp_case(quota, weights)
-    assert reached == case
-    assert counts == enum_swing_counts(quota, weights)
+@given(dp_case_systems())
+def test_dp_kernel_matches_enumeration_in_both_cases(system):
+    quota, weights = system
+    expected = enum_swing_counts(quota, weights)
+    for case in ("dense", "sparse"):
+        with forced_case(case):
+            assert dp_case(quota, weights) == (expected, case)
 
 
 @st.composite
@@ -311,10 +310,16 @@ def test_analyze_of_24_distinct_weights_near_10_to_the_12():
 DP_EDGE_CASES = [
     (1, (0,) * 7 + (1,)),  # P[0] = 2**(n-1), the largest count a field holds
     (1, (0,) * 15 + (1,)),
+    (1, (0,) * 23 + (1,)),
     (1, (0,) * 6 + (1, 1)),
     (2, (0,) * 6 + (1, 1)),
+    (4, (1,) * 8),  # n = 8, 16, 24: one more byte per field than at n - 1
+    (9, (1, 2, 3) * 5 + (4,)),
+    (13, (1,) * 24),
+    (30, tuple(range(1, 25))),
     (5, (5, 7, 1, 2)),  # a weight >= q swings with every losing set of the others
     (3, (9, 9, 9)),
+    (3, (2, 2)),  # q - 2r < 0: the run from q - 2r reads nothing
     (10, (1, 2, 3)),  # q > W: constant rule
     (1, (4,)),  # n = 1
     (5, (4,)),
@@ -322,15 +327,24 @@ DP_EDGE_CASES = [
     (3, (0, 0, 0)),  # all zero: gcd 0
     (7, (6, 4, 2)),  # gcd 2, odd quota rounds up
     (12, (10, 15, 5, 0)),
-    (20, (1, 2, 3, 4, 5, 6, 7, 8)),  # dense, q = 20: three blocks of 7
-    (30, (7, 11, 13, 17)),  # sparse
+    (20, (1, 2, 3, 4, 5, 6, 7, 8)),  # q = 20: three blocks of 7
+    (30, (7, 11, 13, 17)),  # long strides between reads
 ]
 
 
+def edge_case_swings(quota, weights):
+    """Enumerated up to 14 voters, met in the middle past them."""
+    return (enum_swing_counts if len(weights) <= 14 else mitm_swings)(quota, weights)
+
+
 def test_dp_kernel_edge_cases():
-    for quota, weights in DP_EDGE_CASES:
-        assert _dp_swing_counts(quota, weights) == enum_swing_counts(quota, weights)
-    assert _dp_swing_counts(1, (0,) * 30 + (1,)) == (0,) * 30 + (1 << 30,)
+    for case in ("dense", "sparse"):
+        with forced_case(case):
+            for quota, weights in DP_EDGE_CASES:
+                assert _dp_swing_counts(quota, weights) == edge_case_swings(quota, weights)
+            # a lone voter among dummies swings 2**(n - 1) times: 2**63 spans 8 of 9 bytes
+            for n in (31, 64):
+                assert _dp_swing_counts(1, (0,) * (n - 1) + (1,)) == (0,) * (n - 1) + (1 << n - 1,)
 
 
 @pytest.mark.parametrize("block", [1, 7])
@@ -340,28 +354,60 @@ def test_dp_kernel_across_blocks(monkeypatch, block):
     whole = _dp_swing_counts(quota, weights)
     assert DP_BLOCK > quota  # one block by default
     monkeypatch.setattr(power_module, "DP_BLOCK", block)
-    for q, w in DP_EDGE_CASES:
-        assert _dp_swing_counts(q, w) == enum_swing_counts(q, w)
+    with forced_case("dense"):
+        for q, w in DP_EDGE_CASES:
+            assert _dp_swing_counts(q, w) == edge_case_swings(q, w)
     assert dp_case(quota, weights) == (whole, "dense")
     assert whole == mitm_swings(quota, weights)
     assert _dp_swing_counts(15, (1,) * 30) == (comb(29, 14),) * 30
 
 
-def test_dp_dense_case_memory_stays_within_a_block():
-    # q = 120654 fields of 4 bytes: decoded as one list, about 40 bytes each
-    # (int and pointer), the peak would pass 10 * q * nbytes
-    rng = random.Random(5008)
-    weights = (1,) + tuple(10**4 + rng.randrange(100) for _ in range(24))
-    quota = sum(weights) // 2 + 1
-    nbytes = len(weights) // 8 + 1
-    assert quota > 3 * DP_BLOCK
+def dp_peak(quota, weights):
+    """The counts, their case, and the peak of memory traced while counting."""
     tracemalloc.start()
     try:
         counts, case = dp_case(quota, weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return counts, case, peak
+
+
+def test_dp_dense_case_memory_stays_within_a_block():
+    # q = 100076 fields of 22 bytes: the weight-1 voters read q prefix sums,
+    # 22 byte sums each, so every field is decoded instead, a block at a time
+    ones, heavy, w = 150, 20, 10**4
+    weights = (1,) * ones + (w,) * heavy
+    quota = sum(weights) // 2 + 1
+    nbytes = len(weights) // 8 + 1
+    assert quota > 3 * DP_BLOCK
+    counts, case, peak = dp_peak(quota, weights)
     assert case == "dense"
+    assert peak < 6 * quota * nbytes
+
+    def swings(v, m, k):
+        """A weight-v voter's swings among m others of weight 1 and k of weight w."""
+        return sum(
+            comb(k, j) * comb(m, i)
+            for j in range(k + 1)
+            for i in range(m + 1)
+            if quota - v <= j * w + i < quota
+        )
+
+    assert counts == (swings(1, ones - 1, heavy),) * ones + (swings(w, ones, heavy - 1),) * heavy
+
+
+def test_dp_sparse_case_memory_stays_near_the_table():
+    # q = 120654 fields of 4 bytes: reading q prefix sums as 4 byte sums each
+    # costs less than decoding them, and only a slice of one byte at a time
+    # comes next to the packed prefix sums
+    rng = random.Random(5008)
+    weights = (1,) + tuple(10**4 + rng.randrange(100) for _ in range(24))
+    quota = sum(weights) // 2 + 1
+    nbytes = len(weights) // 8 + 1
+    assert quota > 3 * DP_BLOCK
+    counts, case, peak = dp_peak(quota, weights)
+    assert case == "sparse"
     assert peak < 6 * quota * nbytes
     assert counts == mitm_swings(quota, weights)
 
