@@ -9,11 +9,13 @@ sources give that weight: the rule's decision diagram, per node, up to
 subset sums of two halves of the voters, up to :data:`MAX_MITM_VOTERS`; and
 subset-sum counting over the other voters, under :data:`MAX_DP_BYTES` and
 :data:`MAX_DP_WORK`.  :func:`tbp_all` takes the weight on the dense truth
-table instead.  :func:`analyze` counts each system once, with the source of
-least estimated cost among those within their caps, and reads the dummies
-(zero counts) and the symmetry classes (equal counts) off the counts.  Under
-its cross-check it runs every source within its cap, takes the weights on
-the table too, one derivative per class, and fails on any disagreement.
+table instead.  :func:`analyze` first drops the light voters that can never
+swing (dummies: their Boolean difference is 0), then counts the rule on the
+others once, with the source of least estimated cost among those within
+their caps, and reads the dummies (zero counts) and the symmetry classes
+(equal counts) off the counts.  Under its cross-check it runs every source
+within its cap, takes the weights on the table too, one derivative per
+class, and fails on any disagreement.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import gcd
@@ -175,13 +176,18 @@ def _dd_swing_counts(diagram: Diagram) -> tuple[int, ...]:
 
 
 def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
-    """Divide each swing count by their sum, as exact reduced fractions."""
+    """Divide each swing count by their sum, as exact reduced fractions.
+
+    One fraction is reduced per distinct count, and voters with equal counts
+    (a symmetry class) share it.
+    """
     total = sum(tbp_values)
     if total == 0:
         raise NoDecisiveVoterError(
             "no decisive voter: every Banzhaf power is zero, nothing to normalize by"
         )
-    return tuple(Fraction(v, total) for v in tbp_values)
+    powers = {c: Fraction(c, total) for c in set(tbp_values)}
+    return tuple(map(powers.__getitem__, tbp_values))
 
 
 # -- meet-in-the-middle oracle --------------------------------------------------
@@ -405,6 +411,41 @@ def tbp_oracle_dp(system: VotingSystem) -> tuple[int, ...]:
 # -- full analysis ------------------------------------------------------------
 
 
+def _essential_rule(system: VotingSystem) -> tuple[VotingSystem, tuple[int, ...]]:
+    """The rule without the light voters that can never swing, and the
+    0-based indices of the voters it keeps, in O(n log n).
+
+    With the weights sorted, let ``S_j`` be the sum of the ``j`` lightest and
+    ``g_j`` the gcd of the others.  The others' sum is a multiple of ``g_j``,
+    and the light voters add at most ``S_j`` to it.  So when no multiple of
+    ``g_j`` lies in ``[quota - S_j, quota - 1]``, the light voters never
+    decide the outcome, and the rule is ``(ceil(quota / g_j); w / g_j)`` on
+    the others.  That needs ``S_j < g_j``, so each light weight is below
+    each kept one, and the largest such ``j`` drops every voter lighter than
+    ``sorted(weights)[j]``.  A second reduction of its rule drops nothing.
+    With nothing to drop (``j = 0``, or all weights 0), the system is
+    returned as it is.
+    """
+    quota, weights = system.quota, system.weights
+    n = len(weights)
+    ordered = sorted(weights)
+    light = list(accumulate(ordered, initial=0))  # light[j]: S_j
+    gcds = list(accumulate(reversed(ordered), gcd))[::-1]  # gcds[j]: g_j
+    j = next(
+        (
+            j
+            for j in range(n - 1, 0, -1)
+            if light[j] < gcds[j] and (light[j] - quota) // gcds[j] == -quota // gcds[j]
+        ),
+        0,
+    )
+    if not j:
+        return system, tuple(range(n))
+    g, lightest_kept = gcds[j], ordered[j]
+    kept = tuple(i for i, w in enumerate(weights) if w >= lightest_kept)
+    return VotingSystem(-(-quota // g), tuple(weights[i] // g for i in kept)), kept
+
+
 # The planner's cost model for the other sources, in microseconds: a fixed cost
 # per call plus a cost per subset sum or per diagram node.  A least-squares fit
 # of the relative error on 378 systems (n = 8..32; weights up to 10..10**12,
@@ -480,27 +521,33 @@ def _sources(
 def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     """Analyze a voting system: powers, dummies, symmetry classes, findings.
 
-    The swing counts are the Boolean-difference weights, counted by the
-    exact sources within their caps (:func:`_sources`): subset-sum
-    counting, meeting in the middle, and the rule's decision diagram
+    First, in O(n log n), the light voters that can never swing are dropped
+    and the others' weights and the quota divided by their gcd
+    (:func:`_essential_rule`).  The dropped voters get count 0, and the
+    reduced rule's counts are the other voters'.  Those are the
+    Boolean-difference weights, counted by the exact sources within their
+    caps on the reduced rule (:func:`_sources`): subset-sum counting,
+    meeting in the middle, and the rule's decision diagram
     (:meth:`~banzhaf.voting.VotingSystem.diagram`).  When every source is
     over its cap, ``ValueError`` is raised before anything is built.
     Without `verify` only the source of least cost, estimated in O(n), runs,
-    and no truth table is built.  The counts are the same exact integers whichever source gives
-    them, and so is the report: the dummies are the zero counts and the
-    classes the groups of equal counts, since two voters of a weighted rule
-    are interchangeable exactly when they swing equally often (Taylor &
-    Zwicker, *Simple Games*, 1999).  The structural findings are read off
-    the rule: it is monotone, and causal unless the quota exceeds the total
-    weight, when it is constant.  By default up to
+    and no truth table is built.  The counts are the same exact integers
+    whichever source gives them, and so is the report: the dummies are the
+    zero counts and the classes the groups of equal counts, since two voters
+    of a weighted rule are interchangeable exactly when they swing equally
+    often (Taylor & Zwicker, *Simple Games*, 1999).  The structural findings
+    are read off the rule: it is monotone, and causal unless the quota
+    exceeds the total weight, when it is constant.  By default up to
     :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way)
-    every source within its cap runs, the table is folded from the same
-    diagram, and all their counts must agree with the table's weights, one
-    derivative per class (:func:`tbp_all`).  One transposition per class
-    member after the first checks the classes, that agreement the dummies,
-    and the table's monotonicity, causality and weight the findings.
-    ``verify=True`` beyond :data:`~banzhaf.truthtable.N_MAX` voters, where
-    there is no table to check against, raises ``ValueError`` at once.
+    every source within its cap runs, the diagram source on the whole
+    system's diagram, the table is folded from that same diagram, and all
+    their counts must agree with the table's weights, one derivative per
+    class (:func:`tbp_all`), so the table checks the reduction too.  One
+    transposition per class member after the first checks the classes, that
+    agreement the dummies, and the table's monotonicity, causality and
+    weight the findings.  ``verify=True`` beyond
+    :data:`~banzhaf.truthtable.N_MAX` voters, where there is no table to
+    check against, raises ``ValueError`` at once.
     """
     n = system.n
     if verify is None:
@@ -512,14 +559,28 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     quota, total = system.quota, system.total_weight
     # non-negative weights can only help a bill, and the empty coalition loses
     checks = StructuralChecks(True, quota <= total, quota > total)
-    diagram = cache(system.diagram)  # its counts and the table share one build
-    sources = _sources(system, diagram)
+    reduced, kept = _essential_rule(system)
+    sources = _sources(reduced, reduced.diagram)
+
+    def spread(raw: tuple[int, ...]) -> tuple[int, ...]:
+        """The reduced rule's raw counts as the system's counts: each dropped
+        voter doubles every raw count, and the halving per zero undoes that."""
+        tbp = [0] * n
+        for i, c in zip(kept, _essential(raw)):
+            tbp[i] = c
+        return tuple(tbp)
+
     if verify:  # so n <= N_MAX: the diagram and meeting in the middle fit
-        counts = {name: _essential(count()) for name, (_, count) in sources.items()}
-        tbp_vec = counts["diagram"]
+        # the diagram source counts the whole system's diagram, which the
+        # table folds from, so the table checks the reduction too
+        diagram = system.diagram()
+        counts = {
+            name: spread(count()) for name, (_, count) in sources.items() if name != "diagram"
+        }
+        counts["diagram"] = tbp_vec = _essential(_dd_swing_counts(diagram))
     else:
         _, count = min(sources.values(), key=lambda source: source[0]())
-        tbp_vec = _essential(count())
+        tbp_vec = spread(count())
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)
 
@@ -531,7 +592,7 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
         # exactly when the table is vacuous in it, so that equality checks
         # the dummies too.  Symmetric voters have equal weights, so they share
         # a class, and the classes are the table's symmetry classes.
-        table = diagram().to_table()
+        table = diagram.to_table()
         counts["table"] = tbp_all(table, classes)
         if not (
             len(set(counts.values())) == 1

@@ -461,6 +461,79 @@ def test_dp_work_cap_refuses_at_once():
     assert MAX_DP_WORK == 1 << 31
 
 
+@st.composite
+def unit_plus_light_systems(draw):
+    # multiples of a unit, zero among them, plus light voters that may or may
+    # not sum below the unit; quotas on a multiple of the unit or anywhere
+    unit = draw(st.sampled_from((1, 2, 3, 10, 40, 10**6)))
+    heavy = draw(st.lists(st.integers(0, 8).map(unit.__mul__), min_size=1, max_size=10))
+    light = draw(st.lists(st.integers(0, max(1, unit // 3)), max_size=14 - len(heavy)))
+    weights = tuple(draw(st.permutations(heavy + light)))
+    top = sum(weights) + 2
+    quota = draw(st.integers(1, top) | st.integers(1, top // unit + 1).map(unit.__mul__))
+    return VotingSystem(quota, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_plus_light_systems())
+@example(EEC)
+@example(VotingSystem(5, (0, 0, 0)))  # all weights zero: nothing to drop
+@example(VotingSystem(10, (1, 5)))  # quota past the total
+def test_reduced_rule_counts_match_enumeration(system):
+    reduced, kept = power_module._essential_rule(system)
+    raw = enum_swing_counts(system.quota, system.weights)
+    dropped = system.n - len(kept)
+    assert all(raw[i] == 0 for i in set(range(system.n)) - set(kept))
+    # each dropped voter doubles the kept voters' raw counts, and nothing else
+    reduced_raw = enum_swing_counts(reduced.quota, reduced.weights)
+    assert tuple(raw[i] for i in kept) == tuple(c << dropped for c in reduced_raw)
+    assert len(power_module._essential_rule(reduced)[1]) == reduced.n  # nothing more to drop
+    assert analyze(system, verify=False).tbp == enum_tbp(system)
+
+
+def test_reduction_of_both_councils():
+    reduced, kept = power_module._essential_rule(EEC)
+    assert kept == (0, 1, 2, 3, 4)  # L dropped
+    assert (reduced.quota, reduced.weights) == (6, (2, 2, 2, 1, 1))
+    assert power_module._essential_rule(EEEC) == (EEEC, tuple(range(9)))
+
+
+def test_verify_catches_a_reduction_that_drops_one_voter_too_many(monkeypatch):
+    reduce = power_module._essential_rule
+
+    def overreach(system):
+        reduced, kept = reduce(system)
+        k = reduced.weights.index(min(reduced.weights))
+        weights = reduced.weights[:k] + reduced.weights[k + 1 :]
+        return VotingSystem(reduced.quota, weights), kept[:k] + kept[k + 1 :]
+
+    monkeypatch.setattr(power_module, "_essential_rule", overreach)
+    for system in (EEC, EEEC):
+        with pytest.raises(OracleDisagreementError):
+            analyze(system, verify=True)
+
+
+def test_light_voters_past_every_cap_are_dropped():
+    # the 997 light voters sum to 10,443, under one bloc: only the three blocs
+    # swing, and the counts need no table of 1,000 voters, which would be past
+    # MAX_DP_WORK, MAX_MITM_VOTERS and N_MAX
+    weights = (10444,) * 3 + tuple(1 + i % 20 for i in range(997))
+    system = VotingSystem(20888, weights)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = analyze(system)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    assert report.tbp == (2, 2, 2) + (0,) * 997
+    assert report.dummies == frozenset(range(4, 1001))
+    assert report.ntbp[:3] == (Fraction(1, 3),) * 3 and not report.oracle_verified
+
+
 @pytest.mark.parametrize(
     "weights, source",
     [
