@@ -8,14 +8,17 @@ sources give that weight: the rule's decision diagram, per node, up to
 :data:`~banzhaf.truthtable.N_MAX` voters; meeting in the middle between the
 subset sums of two halves of the voters, up to :data:`MAX_MITM_VOTERS`; and
 subset-sum counting over the other voters, under :data:`MAX_DP_BYTES` and
-:data:`MAX_DP_WORK`.  :func:`tbp_all` takes the weight on the dense truth
-table instead.  :func:`analyze` first drops the light voters that can never
-swing (dummies: their Boolean difference is 0), then counts the rule on the
-others once, with the source of least estimated cost among those within
-their caps, and reads the dummies (zero counts) and the symmetry classes
-(equal counts) off the counts.  Under its cross-check it runs every source
-within its cap, takes the weights on the table too, one derivative per
-class, and fails on any disagreement.
+:data:`MAX_DP_WORK`.  Dualization, ``f^d(x) = not f(not x)``, leaves every
+Boolean-difference weight as it is, so the counter takes the smaller quota
+of the rule ``(q; w)`` and of its dual ``(T - q + 1; w)``, ``T`` the total
+weight.  :func:`tbp_all` takes the weight on the dense truth table instead.
+:func:`analyze` first drops the light voters that can never swing (dummies:
+their Boolean difference is 0), then counts the rule on the others once,
+with the source of least estimated cost among those within their caps, and
+reads the dummies (zero counts) and the symmetry classes (equal counts) off
+the counts.  Under its cross-check it runs every source within its cap,
+takes the weights on the table too, one derivative per class, and fails on
+any disagreement.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -32,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from math import gcd
+from math import gcd, inf
 from operator import add, itemgetter
 from struct import iter_unpack
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -295,10 +298,14 @@ class _DPSize(NamedTuple):
 def _dp_size(quota: int, weights: tuple[int, ...]) -> _DPSize:
     """The table :func:`_dp_swing_counts` builds for ``(quota; weights)``, in O(n).
 
-    Only for ``quota <= sum(weights)``, so that some weight is nonzero.
+    Its fields are the reduced quota of the rule or of its dual
+    ``(T - quota + 1; weights)``, whichever is smaller, where ``T`` is the
+    total weight: ``ceil(min(quota, T - quota + 1) / g)``.  The gcd step and
+    the dual commute, since ``ceil((T - quota + 1) / g) = T/g - ceil(quota/g)
+    + 1``.  Only for ``quota <= T``, so that some weight is nonzero.
     """
     g = gcd(*weights)
-    q = -(-quota // g)
+    q = -(-min(quota, sum(weights) - quota + 1) // g)
     nbytes = len(weights) // 8 + 1
     work = sum(1 for w in weights if w // g < q) * q * nbytes
     steps = frozenset(w // g for w in weights) - {0}
@@ -313,17 +320,23 @@ def _dp_swing_counts(
     A voter of weight ``w`` swings for the subsets of the others whose sum
     lies in ``[quota - w, quota - 1]``.  Quota and weights are first divided
     by their gcd ``g``: the rule ``(q; w)`` is the rule ``(ceil(q/g); w/g)``.
-    Only sums below the quota matter, so one forward pass counts the subsets
-    of all voters at each sum ``s < q`` as the coefficients of the polynomial
-    ``prod (1 + x**w) mod x**q``.  The coefficients are packed into one big
-    integer, ``8 * (n // 8 + 1)`` bits each (no count exceeds ``2**n``), so a
-    voter costs one shift, one add and one mask, and a voter with ``w >= q``
-    costs nothing.  Dividing by ``1 + x**w`` un-inserts a voter, so the
-    others' window sum for each *distinct* weight is an alternating sum of
-    ``O(q / w)`` prefix sums of the counts.
+    Every voter swings as often in the dual rule ``(T - q + 1; w)``, where
+    ``T`` is the total weight: taking the complement among the others maps
+    the sums in ``[q - w, q - 1]`` one to one onto those in
+    ``[T - q + 1 - w, T - q]``.  So the counter counts whichever of the two
+    quotas is smaller (:func:`_dp_size`).  Only sums below the quota matter,
+    so one forward pass counts the subsets of all voters at each sum
+    ``s < q`` as the coefficients of the polynomial ``prod (1 + x**w) mod
+    x**q``.  The coefficients are packed into one big integer,
+    ``8 * (n // 8 + 1)`` bits each (no count exceeds ``2**n``), so a voter
+    costs one shift and one add, plus a mask of the shifted copy once the
+    weights inserted reach ``q``, and a voter with ``w >= q`` costs nothing.
+    Dividing by ``1 + x**w`` un-inserts a voter, so the others' window sum
+    for each *distinct* weight is an alternating sum of ``O(q / w)`` prefix
+    sums of the counts.
 
     Costs O(n) big-integer operations on ``q * (n // 8 + 1)`` bytes, after
-    the gcd reduction, then the window sums.  Those read about ``q / w``
+    the gcd step and the dual, then the window sums.  Those read about ``q / w``
     prefix sums per distinct weight, ``sum(q // w)`` in all, in runs of every
     ``2w``-th one.  The counter takes the case that :meth:`_DPSize.dense`
     estimates cheaper.  Either every count is decoded once, :data:`DP_BLOCK`
@@ -344,11 +357,15 @@ def _dp_swing_counts(
     g, q, nbytes, steps = size.g, size.q, size.nbytes, size.steps
     bits = 8 * nbytes
     mask = (1 << q * bits) - 1
-    poly = 1
+    poly, inserted = 1, 0  # inserted: the reduced weights multiplied in so far
     for w in sorted(weights):  # light voters first keep the integer short longer
         w //= g
         if w < q:  # (1 + x**w) = 1 mod x**q
-            poly = (poly + (poly << w * bits)) & mask
+            inserted += w
+            if inserted < q:  # no field reaches x**q yet: nothing to mask off
+                poly += poly << w * bits
+            else:  # mask before the add: no field overflows, so the sum stays exact
+                poly += (poly << w * bits) & mask
 
     # With pre[t] = #(subsets with sum < t), and pre[t] = 0 for t <= 0, the
     # others' count in [q - r, q - 1] is the sum over j >= 0 of
@@ -382,7 +399,7 @@ def _dp_swing_counts(
     else:
         span = 1  # times 1 + x + .. + x**(2*span - 1): field s becomes pre[s + 1]
         while span < q:
-            poly = (poly + (poly << span * bits)) & mask
+            poly += (poly << span * bits) & mask
             span *= 2
         packed = poly.to_bytes(q * nbytes, "little")
         del poly, mask  # only the packed prefix sums stay alive during the reads
@@ -482,33 +499,47 @@ def _dd_nodes(weights: tuple[int, ...], g: int) -> int:
 
 def _sources(
     system: VotingSystem, diagram: Callable[[], Diagram]
-) -> dict[str, tuple[Callable[[], float], Callable[[], tuple[int, ...]]]]:
+) -> dict[str, tuple[Callable[..., float], Callable[[], tuple[int, ...]]]]:
     """Every count source within its cap, as ``{name: (cost, call)}``.
 
     The sources are subset-sum counting under :data:`MAX_DP_BYTES` and
-    :data:`MAX_DP_WORK`, meeting in the middle up to :data:`MAX_MITM_VOTERS`
+    :data:`MAX_DP_WORK` on the smaller of the rule's and its dual's tables
+    (:func:`_dp_size`), meeting in the middle up to :data:`MAX_MITM_VOTERS`
     voters, and the diagram that `diagram` returns, up to
     :data:`~banzhaf.truthtable.N_MAX` voters.  Each cost, called only to pick
     one source, estimates in O(n) the call's time in microseconds; each call
-    returns the raw swing counts.  Raises ``ValueError`` when no source fits.
+    returns the raw swing counts.  A cost called with a `bound` may return
+    any value at or above it instead, once it knows that its estimate is no
+    lower: the diagram's estimate is at least ``_DD_US + _DD_US_PER_NODE *
+    n``, since :func:`_dd_nodes` counts at least one node per level, so its
+    bound on the nodes is taken only when that floor is under `bound`.
+    Raises ``ValueError`` when no source fits.
     """
     n, quota, weights = system.n, system.quota, system.weights
     sources = {}
     size = _dp_size(quota, weights) if quota <= system.total_weight else None
     if size is None:  # constant 0: the counter returns at once
-        sources["subset-sum"] = lambda: 0.0, lambda: _dp_swing_counts(quota, weights)
+        sources["subset-sum"] = lambda bound=inf: 0.0, lambda: _dp_swing_counts(quota, weights)
     elif size.fits():
-        sources["subset-sum"] = size.cost, lambda: _dp_swing_counts(quota, weights, size)
+        sources["subset-sum"] = (
+            lambda bound=inf: size.cost(),
+            lambda: _dp_swing_counts(quota, weights, size),
+        )
     if n <= MAX_MITM_VOTERS:  # 2**(n/2) subset sums per half
         sources["meet-in-the-middle"] = (
-            lambda: _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),
+            lambda bound=inf: _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),
             lambda: _mitm_swing_counts(quota, weights),
         )
-    if n <= N_MAX:  # gcd 1 bounds a constant rule too, whose weights may all be 0
-        sources["diagram"] = (
-            lambda: _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g if size else 1),
-            lambda: _dd_swing_counts(diagram()),
-        )
+    if n <= N_MAX:
+
+        def diagram_cost(bound: float = inf) -> float:
+            floor = _DD_US + _DD_US_PER_NODE * n
+            if floor >= bound:  # the estimate cannot win: skip the bound on the nodes
+                return floor
+            # gcd 1 bounds a constant rule too, whose weights may all be 0
+            return _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g if size else 1)
+
+        sources["diagram"] = diagram_cost, lambda: _dd_swing_counts(diagram())
     if not sources:  # so size is a table over its caps
         raise ValueError(
             f"no count source fits {n} voters: past N_MAX = {N_MAX} for the decision "
@@ -578,8 +609,12 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
             name: spread(count()) for name, (_, count) in sources.items() if name != "diagram"
         }
         counts["diagram"] = tbp_vec = _essential(_dd_swing_counts(diagram))
-    else:
-        _, count = min(sources.values(), key=lambda source: source[0]())
+    else:  # the first source of least estimate; a cost may stop at the best so far
+        best = inf
+        for cost, call in sources.values():
+            estimate = cost(best)
+            if estimate < best:
+                best, count = estimate, call
         tbp_vec = spread(count())
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)
