@@ -22,7 +22,8 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Optional, Sequence
 
 from .power import ORACLE_AUTO_LIMIT, OracleDisagreementError, PowerReport, analyze
 from .sop import (
@@ -55,6 +56,21 @@ def _decimal(fr: Fraction) -> str:
     return f"{scaled // scale}.{scaled % scale:0{DECIMAL_PLACES}d}"
 
 
+# ``json.dumps(doc, indent=2)`` layout for values already encoded: each item or
+# member on its own line at `pad`, the closing bracket two spaces less, and
+# ``[]``/``{}`` when empty.
+
+
+def _json_array(items: Iterable[str], pad: str) -> str:
+    body = (",\n" + pad).join(items)
+    return f"[\n{pad}{body}\n{pad[:-2]}]" if body else "[]"
+
+
+def _json_object(members: dict[str, str], pad: str) -> str:
+    body = (",\n" + pad).join(f"{_json_str(key)}: {value}" for key, value in members.items())
+    return f"{{\n{pad}{body}\n{pad[:-2]}}}" if body else "{}"
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     """A system's power report, rendered as an aligned table or canonical JSON.
@@ -67,44 +83,57 @@ class ReportDocument:
     system: VotingSystem
     report: PowerReport
 
-    def _named(self) -> tuple[list[str], list[list[str]]]:
-        """The dummies, in voter order, and the symmetry classes, by voter name."""
-        names = self.system.voter_names
+    def _named(self, names: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+        """The dummies, in voter order, and the symmetry classes, by `names`."""
         dummies = [names[i - 1] for i in sorted(self.report.dummies)]
         return dummies, [[names[i - 1] for i in group] for group in self.report.classes]
 
     def to_json(self) -> str:
+        """The report exactly as ``json.dumps(doc, indent=2) + "\\n"`` prints it.
+
+        Keys keep a fixed order and strings are ASCII with ``\\u`` escapes.
+        ``json.dumps`` takes its pure-Python encoder whenever `indent` is set, so
+        the text is built here instead: the document's shape is fixed, and each
+        array is one join over items encoded up front, as ``json`` encodes them
+        (``int.__repr__``, which int subclasses share, and the C-level string
+        escaper).  Voters with equal counts have equal shares, so each distinct
+        share is rendered once.
+        """
         system, report = self.system, self.report
-        dummies, classes = self._named()
-        doc = {
-            "n": system.n,
-            "quota": system.quota,
-            "weights": list(system.weights),
-            "names": list(system.voter_names),
-            "tbp": list(report.tbp),
-            "ntbp": [
-                {"num": fr.numerator, "den": fr.denominator, "decimal": _decimal(fr)}
-                for fr in report.ntbp
-            ],
-            "dummies": dummies,
-            "symmetry_classes": classes,
-            "checks": vars(report.checks),
-            "oracle_verified": report.oracle_verified,
+        names = list(map(_json_str, system.voter_names))
+        dummies, classes = self._named(names)
+        shares = {
+            count: f'{{\n      "num": {fr.numerator},\n      "den": {fr.denominator},\n'
+            f'      "decimal": "{_decimal(fr)}"\n    }}'
+            for count, fr in dict(zip(report.tbp, report.ntbp)).items()
         }
-        return json.dumps(doc, indent=2) + "\n"
+        doc = {
+            "n": int.__repr__(system.n),
+            "quota": int.__repr__(system.quota),
+            "weights": _json_array(map(int.__repr__, system.weights), "    "),
+            "names": _json_array(names, "    "),
+            "tbp": _json_array(map(int.__repr__, report.tbp), "    "),
+            "ntbp": _json_array(map(shares.__getitem__, report.tbp) if report.ntbp else (), "    "),
+            "dummies": _json_array(dummies, "    "),
+            "symmetry_classes": _json_array([_json_array(g, "      ") for g in classes], "    "),
+            "checks": _json_object(
+                {key: str(value).lower() for key, value in vars(report.checks).items()}, "    "
+            ),
+            "oracle_verified": str(report.oracle_verified).lower(),
+        }
+        return _json_object(doc, "  ") + "\n"
 
     def to_text(self, no_oracle: bool) -> str:
         """The aligned table; `no_oracle` says the cross-check was disabled, not skipped by n."""
         system, report = self.system, self.report
+        shares = {
+            count: (f"{fr.numerator}/{fr.denominator}" if fr else "0", _decimal(fr))
+            for count, fr in dict(zip(report.tbp, report.ntbp)).items()
+        }
         rows = []
-        for k, name in enumerate(system.voter_names):
-            if report.ntbp:
-                frac = report.ntbp[k]
-                ntbp = f"{frac.numerator}/{frac.denominator}" if frac else "0"
-                share = _decimal(frac)
-            else:
-                ntbp, share = "-", "-"
-            rows.append((name, str(system.weights[k]), str(report.tbp[k]), ntbp, share))
+        for name, weight, count in zip(system.voter_names, system.weights, report.tbp):
+            ntbp, share = shares[count] if report.ntbp else ("-", "-")
+            rows.append((name, str(weight), str(count), ntbp, share))
         header = ("voter", "weight", "tbp", "ntbp", "share")
         widths = [max(len(r[c]) for r in [header, *rows]) for c in range(5)]
         lines = [
@@ -114,7 +143,7 @@ class ReportDocument:
         ]
         for r in [header, *rows]:
             lines.append("  ".join(r[c].ljust(widths[c]) for c in range(5)).rstrip())
-        dummies, classes = self._named()
+        dummies, classes = self._named(system.voter_names)
         lines.append(f"dummies: {' '.join(dummies) if dummies else '(none)'}")
         lines.append("classes: " + " ".join("{" + ",".join(g) + "}" for g in classes))
         checks = vars(report.checks).items()

@@ -9,6 +9,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import banzhaf
 from banzhaf import cli
@@ -175,14 +177,17 @@ def share(num, den, decimal):
     return {"num": num, "den": den, "decimal": decimal}
 
 
-def json_report(quota, weights, names, tbp, ntbp, dummies, classes, checks, verified):
-    doc = {
+def report_doc(quota, weights, names, tbp, ntbp, dummies, classes, checks, verified):
+    return {
         "n": len(weights), "quota": quota, "weights": weights, "names": names,
         "tbp": tbp, "ntbp": ntbp, "dummies": dummies, "symmetry_classes": classes,
         "checks": dict(zip(("monotone", "causal", "constant"), checks)),
         "oracle_verified": verified,
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def json_report(*fields):
+    return json.dumps(report_doc(*fields), indent=2) + "\n"
 
 
 REPORTS = {
@@ -284,6 +289,71 @@ def test_analyze_whole_report_bytes(capsys, case, fmt):
     code, out, err = run_cli(capsys, "analyze", *args, "--format", fmt)
     assert (code, err) == (exit_code, "")
     assert out == (text if fmt == "table" else json_text)
+
+
+def test_json_report_never_calls_json_dumps(capsys, monkeypatch):
+    # the expected bytes are REPORTS', built with json.dumps before the patch
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON report must not go through json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for case in ["six-member", "nine-member", "constant"]:
+        args, exit_code, _, json_text = REPORTS[case]
+        code, out, err = run_cli(capsys, "analyze", *args, "--format", "json")
+        assert (code, err) == (exit_code, "")
+        assert out == json_text
+
+
+# names with JSON escapes (quote, backslash, control characters, U+2028) and
+# non-ASCII text inside and outside the Basic Multilingual Plane
+NAME_CHARS = 'aZ9 _"\\\x00\x01\x1f\x7f\u00e9\u2028\U0001d518'
+
+
+def fields_of(system, report):
+    """`report_doc`'s arguments for a system and its report."""
+    names = system.voter_names
+    return (
+        system.quota, list(system.weights), list(names), list(report.tbp),
+        [share(fr.numerator, fr.denominator, cli._decimal(fr)) for fr in report.ntbp],
+        [names[i - 1] for i in sorted(report.dummies)],
+        [[names[i - 1] for i in group] for group in report.classes],
+        (report.checks.monotone, report.checks.causal, report.checks.constant),
+        report.oracle_verified,
+    )
+
+
+@st.composite
+def named_systems(draw):
+    n = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    # up to total + 2, so some systems are constant: empty ntbp, every voter a dummy
+    quota = draw(st.integers(1, sum(weights) + 2))
+    names = draw(st.lists(
+        st.text(NAME_CHARS, min_size=1, max_size=4), min_size=n, max_size=n, unique=True,
+    ))
+    return banzhaf.VotingSystem(quota, tuple(weights), tuple(names))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_systems(), st.booleans())
+@example(banzhaf.VotingSystem(3, (0, 1), ('"', "\u2028")), False)
+def test_json_report_is_the_json_dumps_layout(system, verify):
+    report = banzhaf.analyze(system, verify=verify)
+    text = cli.ReportDocument(system, report).to_json()
+    fields = fields_of(system, report)
+    assert text == json_report(*fields)
+    assert json.loads(text) == report_doc(*fields)
+
+
+def test_json_report_of_a_subset_sum_system():
+    # 120 voters: past N_MAX and meeting in the middle, only the subset-sum counter fits
+    weights = tuple(range(1, 121))
+    names = tuple(f"\u00e9\"{i}\\\U0001d518" for i in range(1, 121))
+    system = banzhaf.VotingSystem(sum(weights) // 2 + 1, weights, names)
+    report = banzhaf.analyze(system)
+    assert min(len(str(c)) for c in report.tbp) >= 30
+    text = cli.ReportDocument(system, report).to_json()
+    assert text == json_report(*fields_of(system, report))
 
 
 def test_weight_all_methods(capsys):
