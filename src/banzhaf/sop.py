@@ -11,16 +11,19 @@ exploiting it:
 
 * :func:`make_disjoint` - sequential disjointing: each cube is multiplied by
   the expanded complements of all cubes before it, except that a piece which
-  already clashes with a blocker is kept whole.
+  already clashes with a blocker is kept whole, and a blocker that clashes
+  with the cube itself is passed over for all of its pieces.
 * :func:`sop_weight_disjoint` - sum of ``2**(n - literals)`` over a disjoint
   cover.
 * :func:`sop_weight_ie` - inclusion-exclusion over cube subsets; works on any
-  SOP.  The walk skips every extension of a clashing subset, so its cost is
-  the number of subsets whose conjunction does not clash (``2**m - 1`` only
-  when no two of the m cubes clash).
+  SOP.  Each cube carries the bit set of later cubes it does not clash with,
+  and the walk only ever extends a subset by cubes compatible with all of its
+  members, so its cost is the number of subsets whose conjunction does not
+  clash (``2**m - 1`` only when no two of the m cubes clash).
 
-The parser ORs literal bits straight into the pairs, and every function here
-reads them as they are, so a cube is never held in any other form.
+The parser is one regex scanner that ORs literal bits straight into the
+pairs, and every function here reads them as they are, so a cube is never
+held in any other form.
 """
 
 from __future__ import annotations
@@ -85,8 +88,9 @@ class SopExpr:
         """
         if len(cubes) > MAX_SOP_CUBES:
             raise ValueError(f"{len(cubes)} cubes pass MAX_SOP_CUBES = {MAX_SOP_CUBES}")
-        expr = cls(n, tuple(cubes), disjoint=False)
-        return cls(n, expr.cubes, disjoint=expr.verify_disjoint())
+        expr = cls(n, cubes)
+        object.__setattr__(expr, "disjoint", expr.verify_disjoint())
+        return expr
 
     def verify_disjoint(self) -> bool:
         """Pairwise check that every two cubes clash on some variable."""
@@ -99,12 +103,13 @@ class SopExpr:
 # -- parsing ---------------------------------------------------------------
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\S")
+#: a name with its complement mark, if one directly follows, or one other character
+_SCAN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(')?|(\S)")
 
 
 def sop_names(text: str) -> list[str]:
     """Variable names in SOP text, in order of first appearance."""
-    return list(dict.fromkeys(t for t in _TOKEN.findall(text) if _NAME.fullmatch(t)))
+    return list(dict.fromkeys(name for name, _, _ in _SCAN.findall(text) if name))
 
 
 def variable_index(names: Sequence[str]) -> dict[str, int]:
@@ -132,52 +137,56 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     order of appearance.  Repeated literals inside a term collapse; a
     contradictory term is an error.  Empty input and the whole text ``0``
     denote the constant-0 function, and the whole text ``1`` the constant 1.
+
+    One scanner pass reads the text: each match is a name with the ``'``
+    directly after it, if any, or a single other non-space character, so a
+    literal's complement mark never needs a look-ahead.
     """
     index = variable_index(names)
     n = len(index)
+    whole = text.strip()
+    if whole in ("0", "1"):  # a constant, as format_sop prints it
+        return SopExpr(n, ((0, 0),) * int(whole), disjoint=True)
 
-    tokens = [(m.group(0), m.start()) for m in _TOKEN.finditer(text)]
     cubes: list[tuple[int, int]] = []
     pos = neg = 0
     term_open = False  # a literal has been read since the last '|'
     pending_and = False  # an '&' is waiting for its right operand
-    k = 0
-    while k < len(tokens):
-        tok, at = tokens[k]
-        if tok == "|":
+    for m in _SCAN.finditer(text):
+        name, quote, tok = m.groups()
+        if name:
+            k = index.get(name)
+            if k is None:
+                raise SopSyntaxError(f"unknown variable name {name!r}", m.start())
+            bit = 1 << k
+            if quote:
+                if pos & bit:
+                    raise SopSyntaxError("contradictory product", m.start())
+                neg |= bit
+            else:
+                if neg & bit:
+                    raise SopSyntaxError("contradictory product", m.start())
+                pos |= bit
+            term_open = True
+            pending_and = False
+        elif tok == "|":
             if pending_and:
-                raise SopSyntaxError("'&' without a right operand", at)
+                raise SopSyntaxError("'&' without a right operand", m.start())
             if not term_open:
-                raise SopSyntaxError("empty product term", at)
+                raise SopSyntaxError("empty product term", m.start())
             cubes.append((pos, neg))
             pos = neg = 0
             term_open = False
         elif tok == "&":
+            if pending_and:
+                raise SopSyntaxError("'&' without a right operand", m.start())
             if not term_open:
-                raise SopSyntaxError("'&' without a left operand", at)
+                raise SopSyntaxError("'&' without a left operand", m.start())
             pending_and = True
         elif tok == "'":
-            raise SopSyntaxError("complement mark must directly follow a name", at)
-        elif _NAME.fullmatch(tok):
-            if tok not in index:
-                raise SopSyntaxError(f"unknown variable name {tok!r}", at)
-            bit = 1 << index[tok]
-            if k + 1 < len(tokens) and tokens[k + 1] == ("'", at + len(tok)):
-                k += 1
-                if pos & bit:
-                    raise SopSyntaxError("contradictory product", at)
-                neg |= bit
-            else:
-                if neg & bit:
-                    raise SopSyntaxError("contradictory product", at)
-                pos |= bit
-            term_open = True
-            pending_and = False
-        elif len(tokens) == 1 and tok in ("0", "1"):  # a constant, as format_sop prints it
-            return SopExpr(n, ((0, 0),) * int(tok), disjoint=True)
+            raise SopSyntaxError("complement mark must directly follow a name", m.start())
         else:
-            raise SopSyntaxError(f"unexpected character {tok!r}", at)
-        k += 1
+            raise SopSyntaxError(f"unexpected character {tok!r}", m.start())
 
     if pending_and:
         raise SopSyntaxError("'&' without a right operand", len(text))
@@ -191,55 +200,51 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
 # -- disjointing ------------------------------------------------------------
 
 
-def _times_complement(p: int, q: int, bp: int, bq: int) -> list[tuple[int, int]]:
-    """Expand ``(p, q) & ~(bp, bq)`` into disjoint mask pairs.
-
-    A piece that already clashes with the blocker avoids it and is kept
-    whole.  Otherwise the complement of the blocker's missing literals
-    ``l1 l2 .. lk`` (in variable order) is the disjoint OR of ``~l1``,
-    ``l1 ~l2``, ..., ``l1 .. l(k-1) ~lk``; the blocker's literals that the
-    piece already holds are absorbed, and a piece that holds them all
-    implies the blocker and yields nothing.
-    """
-    if p & bq or q & bp:
-        return [(p, q)]
-    out = []
-    missing = (bp & ~p) | (bq & ~q)
-    while missing:
-        v = missing & -missing
-        missing ^= v
-        if v & bp:
-            out.append((p, q | v))
-            p |= v
-        else:
-            out.append((p | v, q))
-            q |= v
-    return out
-
-
 def make_disjoint(expr: SopExpr) -> SopExpr:
     """Rewrite an SOP as an equivalent disjoint one by sequential disjointing.
 
     The k-th cube is replaced by its products with the expanded complements
     of cubes 1..k-1, in list order; no reordering heuristic is applied, so
-    the output is deterministic.  A piece that already clashes with a
-    blocker avoids it and is kept whole, not cut at each of the blocker's
-    literals before the clash, so later blockers multiply one piece instead
-    of several.
+    the output is deterministic.  The complement of a blocker's literals
+    that a piece lacks, ``l1 l2 .. lk`` in variable order, is the disjoint
+    OR of ``~l1``, ``l1 ~l2``, ..., ``l1 .. l(k-1) ~lk``; a piece that holds
+    them all implies the blocker and yields nothing.  A piece that already
+    clashes with a blocker avoids it and is kept whole, not cut at each of
+    the blocker's literals before the clash, so later blockers multiply one
+    piece instead of several.  Pieces only gain literals, so a blocker that
+    clashes with the cube itself clashes with all of its pieces and is
+    passed over without looking at them.
     Already-disjoint input (including any single cube) is returned
     unchanged.  Raises ``ValueError`` as soon as the cubes produced would
-    exceed :data:`MAX_DISJOINT_CUBES`.
+    exceed :data:`MAX_DISJOINT_CUBES`, checked after every blocker.
     """
     if expr.disjoint:
         return expr
     cubes = expr.cubes
     out: list[tuple[int, int]] = []
     for k, cube in enumerate(cubes):
+        cp, cq = cube
         fragments = [cube]
         for bp, bq in cubes[:k]:
-            fragments = [piece for p, q in fragments for piece in _times_complement(p, q, bp, bq)]
-            if not fragments:
-                break
+            if not (cp & bq or cq & bp):
+                pieces = []
+                for p, q in fragments:
+                    if p & bq or q & bp:
+                        pieces.append((p, q))
+                        continue
+                    missing = (bp | bq) & ~(p | q)
+                    while missing:
+                        v = missing & -missing
+                        missing ^= v
+                        if v & bp:
+                            pieces.append((p, q | v))
+                            p |= v
+                        else:
+                            pieces.append((p | v, q))
+                            q |= v
+                fragments = pieces
+                if not fragments:
+                    break
             if len(out) + len(fragments) > MAX_DISJOINT_CUBES:
                 raise ValueError(
                     f"disjointing cube {k + 1} of {len(cubes)} passes "
@@ -263,32 +268,44 @@ def sop_weight_disjoint(expr: SopExpr) -> int:
 def sop_weight_ie(expr: SopExpr) -> int:
     """Weight by inclusion-exclusion over the nonempty cube subsets.
 
-    Works on arbitrary (overlapping) SOPs.  The subsets are walked depth
-    first, each one extended only by cubes after its last, so every subset
-    is met once and its conjunction is one OR of bit masks on top of its
-    parent's.  A subset whose conjunction clashes contributes nothing, and
-    so does every subset that extends it, so its whole subtree is skipped.
-    The cost is the number of subsets that do not clash: ``2**m - 1`` when
-    no two of the m cubes clash, hence the hard cap.
+    Works on arbitrary (overlapping) SOPs.  A subset whose conjunction
+    clashes contributes nothing, and a conjunction clashes exactly when two
+    of its cubes do, so only subsets of pairwise compatible cubes (the
+    cliques of the compatibility graph) are visited.  Each cube gets the bit
+    set of later cubes that do not clash with it; the walk goes depth first,
+    extending a subset only by its candidates, the later cubes compatible
+    with every member, and narrows them with one AND per step.  Every
+    visited subset is met once and its literals are one OR of bit masks on
+    top of its parent's, with no clash test.  The cost is the number of
+    subsets that do not clash: ``2**m - 1`` when no two of the m cubes
+    clash, hence the hard cap.
     """
     cubes = expr.cubes
     m = len(cubes)
     if m > MAX_IE_CUBES:
         raise ValueError(f"inclusion-exclusion limited to {MAX_IE_CUBES} cubes, got {m}")
     n = expr.n
+    lits = [p | q for p, q in cubes]
+    # the later cubes that cube j does not clash with, as bits
+    later = [0] * m
+    for j, (cp, cq) in enumerate(cubes):
+        for i in range(j + 1, m):
+            ip, iq = cubes[i]
+            if not (cp & iq or cq & ip):
+                later[j] |= 1 << i
     total = 0
-    # (first cube the subset may add, its pos and neg masks, sign one cube larger)
-    stack = [(0, 0, 0, 1)]
+    # (cubes the subset may add, its literals, sign one cube larger)
+    stack = [((1 << m) - 1, 0, 1)]
     while stack:
-        start, p, q, sign = stack.pop()
-        for j in range(start, m):
-            cp, cq = cubes[j]
-            jp, jq = p | cp, q | cq
-            if jp & jq:
-                continue
-            total += sign << (n - (jp | jq).bit_count())
-            if j + 1 < m:
-                stack.append((j + 1, jp, jq, -sign))
+        candidates, held, sign = stack.pop()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            j = low.bit_length() - 1
+            jl = held | lits[j]
+            total += sign << (n - jl.bit_count())
+            if candidates & later[j]:
+                stack.append((candidates & later[j], jl, -sign))
     return total
 
 

@@ -5,6 +5,12 @@ package's count routes are tested against, pure threshold arithmetic on
 weighted sums.  Its cost doubles per voter, so tests use it up to about 12
 voters.  `table_of`, `lift` and `scaled` build test inputs row by row or
 from a system's fields.
+
+`disjoint_cover` and `ie_weight` are the plain forms of the package's SOP
+kernels on ``(pos, neg)`` cube masks: sequential disjointing that expands
+every earlier cube against every piece, and inclusion-exclusion that tests
+each extended conjunction for a clash.  The package's kernels skip work
+whose outcome is fixed in advance and must give the same covers and sums.
 """
 
 from banzhaf import TruthTable, VotingSystem
@@ -55,3 +61,62 @@ def enum_tbp(system):
     raw = enum_swing_counts(system.quota, system.weights)
     dummies = sum(1 for c in raw if c == 0)
     return tuple(c >> dummies for c in raw)
+
+
+def _times_complement(p, q, bp, bq):
+    """Expand ``(p, q) & ~(bp, bq)`` into disjoint mask pairs, in variable order.
+
+    A piece that already clashes with the blocker is kept whole; one that
+    holds all of the blocker's literals yields nothing.
+    """
+    if p & bq or q & bp:
+        return [(p, q)]
+    out = []
+    missing = (bp & ~p) | (bq & ~q)
+    while missing:
+        v = missing & -missing
+        missing ^= v
+        if v & bp:
+            out.append((p, q | v))
+            p |= v
+        else:
+            out.append((p | v, q))
+            q |= v
+    return out
+
+
+def disjoint_cover(cubes, cap):
+    """Sequential disjointing of `cubes` in list order, as a tuple of cubes.
+
+    Raises ``ValueError`` when, after any earlier cube, the cubes produced so
+    far would pass `cap`.
+    """
+    out = []
+    for k, cube in enumerate(cubes):
+        fragments = [cube]
+        for bp, bq in cubes[:k]:
+            fragments = [piece for p, q in fragments for piece in _times_complement(p, q, bp, bq)]
+            if not fragments:
+                break
+            if len(out) + len(fragments) > cap:
+                raise ValueError(f"disjointing cube {k + 1} passes the cap of {cap} cubes")
+        out.extend(fragments)
+    return tuple(out)
+
+
+def ie_weight(n, cubes):
+    """Inclusion-exclusion over the cube subsets whose conjunction does not clash."""
+    m = len(cubes)
+    total = 0
+    stack = [(0, 0, 0, 1)]
+    while stack:
+        start, p, q, sign = stack.pop()
+        for j in range(start, m):
+            cp, cq = cubes[j]
+            jp, jq = p | cp, q | cq
+            if jp & jq:
+                continue
+            total += sign << (n - (jp | jq).bit_count())
+            if j + 1 < m:
+                stack.append((j + 1, jp, jq, -sign))
+    return total

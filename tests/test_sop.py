@@ -23,7 +23,7 @@ from banzhaf import (
     tt_to_minterm_sop,
 )
 from banzhaf.cli import format_sop
-from reference import table_of
+from reference import disjoint_cover, ie_weight, table_of
 
 XYZ = ["X1", "X2", "X3"]
 TWO_OF_THREE = "X1 X2 | X2 X3 | X1 X3"
@@ -105,7 +105,8 @@ def test_parse_unknown_name_reports_position():
 
 
 def test_parse_syntax_errors_have_positions():
-    for text, pos in [("X1 |", 4), ("| X1", 0), ("X1 & | X2", 5), ("X1 & ", 5), ("X1 + X2", 3)]:
+    cases = [("X1 |", 4), ("| X1", 0), ("X1 & | X2", 5), ("X1 & & X2", 5), ("X1 & ", 5), ("X1 + X2", 3)]
+    for text, pos in cases:
         with pytest.raises(SopSyntaxError) as info:
             parse_sop(text, XYZ)
         assert info.value.position == pos
@@ -222,6 +223,34 @@ def test_make_disjoint_cube_cap():
     assert 2**16 - 1 <= MAX_DISJOINT_CUBES < 2**17 - 1
     with pytest.raises(ValueError, match="MAX_DISJOINT_CUBES"):
         make_disjoint(parse_sop(chain_sop(17), names))
+
+
+def test_make_disjoint_cap_counts_after_blockers_it_passes_over(monkeypatch):
+    import banzhaf.sop as sop_module
+
+    # X1' clashes with both earlier cubes, which leave 2 cubes; a third passes the cap
+    expr = parse_sop("X1 X2 | X1 X3 | X1'", XYZ)
+    assert len(make_disjoint(expr).cubes) == 3
+    monkeypatch.setattr(sop_module, "MAX_DISJOINT_CUBES", 2)
+    with pytest.raises(ValueError, match="disjointing cube 3 of 3 passes MAX_DISJOINT_CUBES = 2"):
+        make_disjoint(expr)
+    rng = random.Random(2006)
+    refused = 0
+    for _ in range(300):
+        expr = random_sop(rng)
+        if expr.disjoint:  # returned as it is, never counted
+            continue
+        cap = rng.randint(1, 8)
+        monkeypatch.setattr(sop_module, "MAX_DISJOINT_CUBES", cap)
+        try:
+            want = disjoint_cover(expr.cubes, cap)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="MAX_DISJOINT_CUBES"):
+                make_disjoint(expr)
+        else:
+            assert make_disjoint(expr).cubes == want
+    assert refused > 20
 
 
 def minterm_sop(n, m):
@@ -383,12 +412,17 @@ def test_weight_methods_agree_on_random_sops():
 
 
 @st.composite
-def sops(draw):
-    """Up to 10 cubes over n <= 8 variables, drawn with repeats from a pool."""
-    n = draw(st.integers(0, 8))
+def sops(draw, max_n=8, max_cubes=10, empty_cube=False):
+    """Up to `max_cubes` cubes over n <= `max_n` variables, drawn with repeats
+    from a pool, which holds the empty cube if `empty_cube` and a drawn flag say so."""
+    n = draw(st.integers(0, max_n))
     literal = st.sampled_from(["", "pos", "neg"])
-    pool = draw(st.lists(st.lists(literal, min_size=n, max_size=n), min_size=1, max_size=10))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+    pool = draw(
+        st.lists(st.lists(literal, min_size=n, max_size=n), min_size=1, max_size=max_cubes)
+    )
+    if empty_cube and draw(st.booleans()):
+        pool.append([""] * n)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_cubes))
     cubes = [
         cube(
             (i for i, s in enumerate(pool[k], 1) if s == "pos"),
@@ -407,6 +441,13 @@ def test_weight_and_cover_properties(expr):
     got = make_disjoint(expr)
     assert got.verify_disjoint()
     assert sop_to_tt(got) == table
+
+
+@settings(max_examples=300, deadline=None)
+@given(sops(max_n=12, max_cubes=14, empty_cube=True))
+def test_cover_and_ie_weight_match_the_reference_kernels(expr):
+    assert make_disjoint(expr).cubes == disjoint_cover(expr.cubes, MAX_DISJOINT_CUBES)
+    assert sop_weight_ie(expr) == ie_weight(expr.n, expr.cubes)
 
 
 @settings(max_examples=300, deadline=None)
