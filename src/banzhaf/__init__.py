@@ -6,9 +6,8 @@ the weight of the function's Boolean difference.  A planner counts each
 system with the cheapest of three exact sources within its cap: the
 decision diagram, per node; meeting in the middle; or subset-sum counting.
 The cross-check runs every one within its cap and compares them with the
-dense truth table's counts.  Supporting machinery - dense truth tables, a
-sum-of-products algebra with sequential disjointing, and a
-characteristic-set calculus for symmetric functions - is exposed as a
+dense truth table's counts.  Supporting machinery - dense truth tables and
+a sum-of-products algebra with sequential disjointing - is exposed as a
 library; the ``banzhaf`` command wraps it for the command line.
 
 >>> from banzhaf import VotingSystem, analyze
@@ -46,7 +45,6 @@ from .sop import (
     sop_weight_ie,
     tt_to_minterm_sop,
 )
-from .symmetric import SymFn, parse_sym
 from .truthtable import N_MAX, TruthTable
 from .voting import VotingSystem
 
@@ -65,14 +63,12 @@ __all__ = [
     "SopExpr",
     "SopSyntaxError",
     "StructuralChecks",
-    "SymFn",
     "TruthTable",
     "VotingSystem",
     "analyze",
     "make_disjoint",
     "normalize",
     "parse_sop",
-    "parse_sym",
     "sop_names",
     "sop_to_tt",
     "sop_weight_disjoint",

@@ -6,10 +6,10 @@ row ``j`` assigns ``X_1 .. X_n`` the binary digits of ``j`` with ``X_1`` as
 the most significant digit.  Row 0 is therefore the all-zeros vote and row
 ``2**n - 1`` the all-ones vote.
 
-Storing the whole table in one int makes the connectives single bitwise
-operations and the weight a popcount.  Restriction and Boolean differencing
-are implemented with mask/shift kernels so that no per-row Python loop is
-ever needed; every operation is pure and returns a new table.
+Storing the whole table in one int makes the weight a popcount.  Restriction
+and Boolean differencing are implemented with mask/shift kernels so that no
+per-row Python loop is ever needed; every operation is pure and returns a new
+table.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ from dataclasses import dataclass
 #: system's decision diagram.  Larger systems are counted without either, by
 #: meeting in the middle or subset-sum counting.
 N_MAX = 24
+
+
+def _is_int(x: object) -> bool:
+    """An ``int`` proper: ``True`` and ``False`` are not arities, bit vectors,
+    quotas or weights."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 #: One mask per bit position, widened in place to the largest arity asked for.
@@ -65,24 +71,12 @@ class TruthTable:
     bits: int
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.n) and _is_int(self.bits)):
+            raise ValueError(f"arity and bits must be integers, got {self.n!r} and {self.bits!r}")
         if not 0 <= self.n <= N_MAX:
             raise ValueError(f"arity must be between 0 and {N_MAX}, got {self.n}")
         if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise ValueError(f"bit vector does not fit 2**{self.n} rows")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def constant(cls, n: int, value: int) -> "TruthTable":
-        return cls(n, ((1 << (1 << n)) - 1) if value else 0)
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "TruthTable":
-        """Table of the bare literal ``X_i`` inside an n-variable space."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        pos = n - i
-        return cls(n, (((1 << (1 << n)) - 1) & _var_zero_mask(pos, n)) << (1 << pos))
 
     # -- row access ---------------------------------------------------------
 
@@ -91,27 +85,6 @@ class TruthTable:
         if not 0 <= j < (1 << self.n):
             raise ValueError(f"row {j} out of range for {self.n} variables")
         return (self.bits >> j) & 1
-
-    # -- pointwise connectives ---------------------------------------------
-
-    def _check_same_arity(self, other: "TruthTable") -> None:
-        if self.n != other.n:
-            raise ValueError(f"arity mismatch: {self.n} vs {other.n}")
-
-    def __and__(self, other: "TruthTable") -> "TruthTable":
-        self._check_same_arity(other)
-        return TruthTable(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "TruthTable") -> "TruthTable":
-        self._check_same_arity(other)
-        return TruthTable(self.n, self.bits | other.bits)
-
-    def __xor__(self, other: "TruthTable") -> "TruthTable":
-        self._check_same_arity(other)
-        return TruthTable(self.n, self.bits ^ other.bits)
-
-    def __invert__(self) -> "TruthTable":
-        return TruthTable(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
 
     # -- restriction and differencing --------------------------------------
 

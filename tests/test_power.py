@@ -22,7 +22,6 @@ from banzhaf import (
     NoDecisiveVoterError,
     OracleDisagreementError,
     PowerReport,
-    SymFn,
     TruthTable,
     VotingSystem,
     analyze,
@@ -43,7 +42,7 @@ from banzhaf.power import (
 )
 from banzhaf.truthtable import N_MAX
 from banzhaf.voting import Diagram
-from reference import enum_swing_counts, enum_tbp, scaled
+from reference import count_table, enum_swing_counts, enum_tbp, scaled
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -71,8 +70,8 @@ def test_tbp_matches_published_council_values():
 
 
 def test_tbp_of_constant_table_is_zero():
-    for value in (0, 1):
-        assert tbp_all(TruthTable.constant(4, value)) == (0, 0, 0, 0)
+    for table in (TruthTable(4, 0), count_table(4, (), {0})):
+        assert tbp_all(table) == (0, 0, 0, 0)
 
 
 def test_tbp_counts_swings_once_per_essential_scenario():
@@ -110,7 +109,7 @@ def test_tbp_all_rejects_classes_that_are_not_a_partition():
 
 
 def test_tbp_all_symmetric_rule():
-    assert tbp_all(SymFn(3, {2, 3}).to_table()) == (2, 2, 2)
+    assert tbp_all(count_table(3, (1, 2, 3), {2, 3})) == (2, 2, 2)
 
 
 def test_normalize_examples():
@@ -916,9 +915,8 @@ def test_symmetric_closed_form_against_analysis():
     for n in range(1, 9):
         for k in range(1, n + 1):
             report = analyze(VotingSystem(k, (1,) * n))
-            via_charset = SymFn(n, range(k, n + 1)).tbp()
-            assert report.tbp == (via_charset,) * n
-            assert via_charset == comb(n - 1, k - 1)
+            table = count_table(n, range(1, n + 1), range(k, n + 1))
+            assert report.tbp == tbp_all(table) == (comb(n - 1, k - 1),) * n
             assert report.ntbp == (Fraction(1, n),) * n
 
 

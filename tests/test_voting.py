@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banzhaf import (
-    SymFn,
     TruthTable,
     VotingSystem,
     analyze,
     parse_sop,
     sop_to_tt,
 )
-from reference import scaled
+from reference import count_table, scaled
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEC_NAMES = list(EEC.voter_names)
@@ -153,24 +152,21 @@ def test_diagram_recursion_is_one_frame_per_level():
 
 
 def test_unanimity_and_single_vote_rules():
-    assert VotingSystem(1, (1, 1, 1)).to_table() == (
-        TruthTable.variable(3, 1) | TruthTable.variable(3, 2) | TruthTable.variable(3, 3)
-    )
-    assert VotingSystem(3, (1, 1, 1)).to_table() == (
-        TruthTable.variable(3, 1) & TruthTable.variable(3, 2) & TruthTable.variable(3, 3)
-    )
+    x1, x2, x3 = (count_table(3, (i,), {1}).bits for i in (1, 2, 3))
+    assert VotingSystem(1, (1, 1, 1)).to_table() == TruthTable(3, x1 | x2 | x3)
+    assert VotingSystem(3, (1, 1, 1)).to_table() == TruthTable(3, x1 & x2 & x3)
 
 
 def test_k_out_of_n_is_symmetric_tail_set():
     for n in range(1, 9):
         for k in range(1, n + 1):
             system = VotingSystem(k, (1,) * n)
-            assert system.to_table() == SymFn(n, range(k, n + 1)).to_table()
+            assert system.to_table() == count_table(n, range(1, n + 1), range(k, n + 1))
 
 
 def test_quota_above_total_weight_is_constant_zero():
     table = VotingSystem(7, (1, 1, 1)).to_table()
-    assert table == TruthTable.constant(3, 0)
+    assert table == TruthTable(3, 0)
 
 
 def test_eec_table_equals_published_minimal_sum():
@@ -180,29 +176,29 @@ def test_eec_table_equals_published_minimal_sum():
 
 def test_eec_symmetric_composite_forms():
     # exactly-3 of (F,G,I), or at-least-2 of them together with B and N
-    table = EEC.to_table()
-    fgi3 = SymFn(3, {3}).to_table(placement=(1, 2, 3), n_total=6)
-    fgi23 = SymFn(3, {2, 3}).to_table(placement=(1, 2, 3), n_total=6)
-    fgi2 = SymFn(3, {2}).to_table(placement=(1, 2, 3), n_total=6)
-    bn = sop_to_tt(parse_sop("B N", EEC_NAMES))
+    table = EEC.to_table().bits
+    fgi3 = count_table(6, (1, 2, 3), {3}).bits
+    fgi23 = count_table(6, (1, 2, 3), {2, 3}).bits
+    fgi2 = count_table(6, (1, 2, 3), {2}).bits
+    bn = sop_to_tt(parse_sop("B N", EEC_NAMES)).bits
     assert fgi3 | (fgi23 & bn) == table
     # disjointed variant: the second term absorbs the complement of the first
     assert fgi3 | (fgi2 & bn) == table
-    assert (fgi3 & fgi2 & bn) == TruthTable.constant(6, 0)
+    assert fgi3 & fgi2 & bn == 0
     assert fgi3 ^ (fgi2 & bn) == table
 
 
 def test_eeec_table_equals_published_minimal_sum():
-    small = "B N L | B N E | B N D | N E D | B E D"
-    big = "F G I | F G R | F I R | G I R"
-    blocks = "B | N | D | E | L"
-    table = (
-        sop_to_tt(parse_sop(small, EEEC_NAMES)) & sop_to_tt(parse_sop(big, EEEC_NAMES))
-    ) | (
-        sop_to_tt(parse_sop(blocks, EEEC_NAMES))
-        & sop_to_tt(parse_sop("F G I R", EEEC_NAMES))
+    small, big, blocks, all_big = (
+        sop_to_tt(parse_sop(text, EEEC_NAMES)).bits
+        for text in (
+            "B N L | B N E | B N D | N E D | B E D",
+            "F G I | F G R | F I R | G I R",
+            "B | N | D | E | L",
+            "F G I R",
+        )
     )
-    assert table == EEEC.to_table()
+    assert TruthTable(9, (small & big) | (blocks & all_big)) == EEEC.to_table()
 
 
 def test_eeec_disjoint_composite_form():
@@ -212,11 +208,12 @@ def test_eeec_disjoint_composite_form():
         "B N L | B N E L' | B N D E' L' | B' N D E | B D E N'", EEEC_NAMES
     )
     assert factor.disjoint
-    big3 = SymFn(4, {3}).to_table(placement=(1, 2, 3, 4), n_total=9)
-    big4 = SymFn(4, {4}).to_table(placement=(1, 2, 3, 4), n_total=9)
-    none_small = sop_to_tt(parse_sop("B' N' D' E' L'", EEEC_NAMES))
-    composite = (sop_to_tt(factor) & big3) ^ ((~none_small) & big4)
-    assert composite == EEEC.to_table()
+    big3 = count_table(9, (1, 2, 3, 4), {3}).bits
+    big4 = count_table(9, (1, 2, 3, 4), {4}).bits
+    none_small = sop_to_tt(parse_sop("B' N' D' E' L'", EEEC_NAMES)).bits
+    some_small = none_small ^ ((1 << (1 << 9)) - 1)
+    composite = (sop_to_tt(factor).bits & big3) ^ (some_small & big4)
+    assert TruthTable(9, composite) == EEEC.to_table()
 
 
 def test_dummies_eec_eeec():
