@@ -3,9 +3,9 @@
 The package models a weighted yes-no voting system as a threshold switching
 function and computes each voter's total and normalized Banzhaf power from
 the weight of the function's Boolean difference.  A planner counts each
-system with the cheapest of three exact sources within its cap: the
-decision diagram, per node; meeting in the middle; or subset-sum counting.
-The cross-check runs every one within its cap and compares them with the
+system with the cheaper of two exact sources within its cap: meeting in the
+middle, or subset-sum counting.  The cross-check runs each one within its
+cap, counts the decision diagram per node, and compares them all with the
 dense truth table's counts.  Supporting machinery - dense truth tables and
 a sum-of-products algebra with sequential disjointing - is exposed as a
 library; the ``banzhaf`` command wraps it for the command line.

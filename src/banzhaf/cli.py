@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .power import ORACLE_AUTO_LIMIT, OracleDisagreementError, PowerReport, analyze
 from .sop import (
-    SopExpr,
+    format_sop,
     make_disjoint,
     parse_sop,
     sop_names,
@@ -172,8 +172,8 @@ def _int_csv(text: str) -> list[int]:
 
 def _system_from_args(args: argparse.Namespace) -> VotingSystem:
     if args.input is not None:
-        if args.quota is not None or args.weights is not None:
-            raise ValueError("give either --input or --quota/--weights, not both")
+        if args.quota is not None or args.weights is not None or args.names is not None:
+            raise ValueError("give either --input or --quota/--weights/--names, not both")
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -193,22 +193,6 @@ def _system_from_args(args: argparse.Namespace) -> VotingSystem:
         raise ValueError("need --quota and --weights (or --input FILE)")
     names = tuple(_csv(args.names)) if args.names is not None else None
     return VotingSystem(args.quota, tuple(_int_csv(args.weights)), names)
-
-
-def format_sop(expr: SopExpr, names: Sequence[str]) -> str:
-    """Render cubes as whitespace products joined by ``|``; constants as 0/1."""
-    if not expr.cubes:
-        return "0"
-    parts = []
-    for pos, neg in expr.cubes:
-        lits = []
-        for i in range(1, expr.n + 1):
-            if pos >> i & 1:
-                lits.append(names[i - 1])
-            elif neg >> i & 1:
-                lits.append(names[i - 1] + "'")
-        parts.append(" ".join(lits) if lits else "1")
-    return " | ".join(parts)
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -3,22 +3,23 @@
 A voter's total Banzhaf power (TBP) is the number of ways that voter can
 swing the outcome: winning vote configurations that turn losing when the
 voter alone defects.  For a monotone rule this is exactly the weight of the
-Boolean difference of the rule with respect to that voter.  Three exact
-sources give that weight: the rule's decision diagram, per node, up to
-:data:`~banzhaf.truthtable.N_MAX` voters; meeting in the middle between the
-subset sums of two halves of the voters, up to :data:`MAX_MITM_VOTERS`; and
-subset-sum counting over the other voters, under :data:`MAX_DP_BYTES` and
-:data:`MAX_DP_WORK`.  Dualization, ``f^d(x) = not f(not x)``, leaves every
-Boolean-difference weight as it is, so the counter takes the smaller quota
-of the rule ``(q; w)`` and of its dual ``(T - q + 1; w)``, ``T`` the total
-weight.  :func:`tbp_all` takes the weight on the dense truth table instead.
+Boolean difference of the rule with respect to that voter.  Two exact
+sources count that weight for :func:`analyze`: meeting in the middle between
+the subset sums of two halves of the voters, up to :data:`MAX_MITM_VOTERS`;
+and subset-sum counting over the other voters, under :data:`MAX_DP_BYTES` and
+:data:`MAX_DP_WORK`.  Its cross-check also takes the weight per node of the
+rule's decision diagram, up to :data:`~banzhaf.truthtable.N_MAX` voters.
+Dualization, ``f^d(x) = not f(not x)``, leaves every Boolean-difference
+weight as it is, so the counter takes the smaller quota of the rule
+``(q; w)`` and of its dual ``(T - q + 1; w)``, ``T`` the total weight.
+:func:`tbp_all` takes the weight on the dense truth table instead.
 :func:`analyze` first drops the light voters that can never swing (dummies:
 their Boolean difference is 0), then counts the rule on the others once,
 with the source of least estimated cost among those within their caps, and
 reads the dummies (zero counts) and the symmetry classes (equal counts) off
-the counts.  Under its cross-check it runs every source within its cap,
-takes the weights on the table too, one derivative per class, and fails on
-any disagreement.
+the counts.  Under its cross-check it runs every source within its cap and
+the diagram, takes the weights on the table too, one derivative per class,
+and fails on any disagreement.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -35,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from math import gcd, inf
+from math import gcd
 from operator import add, itemgetter
 from struct import iter_unpack
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -463,88 +464,40 @@ def _essential_rule(system: VotingSystem) -> tuple[VotingSystem, tuple[int, ...]
     return VotingSystem(-(-quota // g), tuple(weights[i] // g for i in kept)), kept
 
 
-# The planner's cost model for the other sources, in microseconds: a fixed cost
-# per call plus a cost per subset sum or per diagram node.  A least-squares fit
-# of the relative error on 378 systems (n = 8..32; weights up to 10..10**12,
-# all distinct, 1-4 distinct, or multiples of a unit plus dummies; quotas of
-# 50-67 %) on a 2-vCPU Xeon with Python 3.11.  With the counter's own model
-# above, on the 400 held-out systems of its grid the pick took 1.015 times the
-# fastest source's time on average, 1.80 times at worst.
+# Meeting in the middle's cost model in microseconds: a fixed cost per call
+# plus a cost per subset sum.  A least-squares fit of the relative error on 378
+# systems (n = 8..32; weights up to 10..10**12, all distinct, 1-4 distinct, or
+# multiples of a unit plus dummies; quotas of 50-67 %) on a 2-vCPU Xeon with
+# Python 3.11.
 _MITM_US, _MITM_US_PER_SUM = 3.0, 0.57
-_DD_US, _DD_US_PER_NODE = 10.0, 1.6
 
 
-def _dd_nodes(weights: tuple[int, ...], g: int) -> int:
-    """A bound on the inner nodes of the diagram of a rule with these weights.
-
-    Level ``i`` holds one node per distinct rule that the votes of voters
-    ``1..i`` leave, so at most as many as they have distinct subset sums, and
-    as voters ``i + 1..n`` have (one rule between each two of theirs).  The
-    distinct subset sums of a list are at most the product of (count + 1) over
-    its distinct weights, and at most its reduced total (over ``g``) plus one.
-    """
-
-    def distinct_sums(ws: Sequence[int]) -> list[int]:
-        bounds, product, total, seen = [1], 1, 0, {}
-        for w in ws:
-            c = seen[w] = seen.get(w, 0) + 1
-            product = product // c * (c + 1)
-            total += w // g
-            bounds.append(min(product, total + 1))
-        return bounds
-
-    before, after = distinct_sums(weights), distinct_sums(weights[::-1])[::-1]
-    return sum(map(min, before[:-1], after[:-1]))
-
-
-def _sources(
-    system: VotingSystem, diagram: Callable[[], Diagram]
-) -> dict[str, tuple[Callable[..., float], Callable[[], tuple[int, ...]]]]:
-    """Every count source within its cap, as ``{name: (cost, call)}``.
+def _sources(system: VotingSystem) -> dict[str, tuple[float, Callable[[], tuple[int, ...]]]]:
+    """Every count source within its cap, as ``{name: (estimate, call)}``.
 
     The sources are subset-sum counting under :data:`MAX_DP_BYTES` and
     :data:`MAX_DP_WORK` on the smaller of the rule's and its dual's tables
-    (:func:`_dp_size`), meeting in the middle up to :data:`MAX_MITM_VOTERS`
-    voters, and the diagram that `diagram` returns, up to
-    :data:`~banzhaf.truthtable.N_MAX` voters.  Each cost, called only to pick
-    one source, estimates in O(n) the call's time in microseconds; each call
-    returns the raw swing counts.  A cost called with a `bound` may return
-    any value at or above it instead, once it knows that its estimate is no
-    lower: the diagram's estimate is at least ``_DD_US + _DD_US_PER_NODE *
-    n``, since :func:`_dd_nodes` counts at least one node per level, so its
-    bound on the nodes is taken only when that floor is under `bound`.
-    Raises ``ValueError`` when no source fits.
+    (:func:`_dp_size`), and meeting in the middle up to
+    :data:`MAX_MITM_VOTERS` voters.  Each estimate is the call's time in
+    microseconds, worked out in O(n); each call returns the raw swing
+    counts.  Raises ``ValueError`` when no source fits.
     """
     n, quota, weights = system.n, system.quota, system.weights
     sources = {}
     size = _dp_size(quota, weights) if quota <= system.total_weight else None
     if size is None:  # constant 0: the counter returns at once
-        sources["subset-sum"] = lambda bound=inf: 0.0, lambda: _dp_swing_counts(quota, weights)
+        sources["subset-sum"] = 0.0, lambda: _dp_swing_counts(quota, weights)
     elif size.fits():
-        sources["subset-sum"] = (
-            lambda bound=inf: size.cost(),
-            lambda: _dp_swing_counts(quota, weights, size),
-        )
+        sources["subset-sum"] = size.cost(), lambda: _dp_swing_counts(quota, weights, size)
     if n <= MAX_MITM_VOTERS:  # 2**(n/2) subset sums per half
         sources["meet-in-the-middle"] = (
-            lambda bound=inf: _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),
+            _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),
             lambda: _mitm_swing_counts(quota, weights),
         )
-    if n <= N_MAX:
-
-        def diagram_cost(bound: float = inf) -> float:
-            floor = _DD_US + _DD_US_PER_NODE * n
-            if floor >= bound:  # the estimate cannot win: skip the bound on the nodes
-                return floor
-            # gcd 1 bounds a constant rule too, whose weights may all be 0
-            return _DD_US + _DD_US_PER_NODE * _dd_nodes(weights, size.g if size else 1)
-
-        sources["diagram"] = diagram_cost, lambda: _dd_swing_counts(diagram())
     if not sources:  # so size is a table over its caps
         raise ValueError(
-            f"no count source fits {n} voters: past N_MAX = {N_MAX} for the decision "
-            f"diagram and MAX_MITM_VOTERS = {MAX_MITM_VOTERS} for meeting in the middle, "
-            f"and the {size.refusal()}"
+            f"no count source fits {n} voters: past MAX_MITM_VOTERS = {MAX_MITM_VOTERS} "
+            f"for meeting in the middle, and the {size.refusal()}"
         )
     return sources
 
@@ -557,26 +510,25 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     (:func:`_essential_rule`).  The dropped voters get count 0, and the
     reduced rule's counts are the other voters'.  Those are the
     Boolean-difference weights, counted by the exact sources within their
-    caps on the reduced rule (:func:`_sources`): subset-sum counting,
-    meeting in the middle, and the rule's decision diagram
-    (:meth:`~banzhaf.voting.VotingSystem.diagram`).  When every source is
-    over its cap, ``ValueError`` is raised before anything is built.
-    Without `verify` only the source of least cost, estimated in O(n), runs,
-    and no truth table is built.  The counts are the same exact integers
-    whichever source gives them, and so is the report: the dummies are the
-    zero counts and the classes the groups of equal counts, since two voters
-    of a weighted rule are interchangeable exactly when they swing equally
-    often (Taylor & Zwicker, *Simple Games*, 1999).  The structural findings
-    are read off the rule: it is monotone, and causal unless the quota
-    exceeds the total weight, when it is constant.  By default up to
-    :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way)
-    every source within its cap runs, the diagram source on the whole
-    system's diagram, the table is folded from that same diagram, and all
-    their counts must agree with the table's weights, one derivative per
-    class (:func:`tbp_all`), so the table checks the reduction too.  One
-    transposition per class member after the first checks the classes, that
-    agreement the dummies, and the table's monotonicity, causality and
-    weight the findings.  ``verify=True`` beyond
+    caps on the reduced rule (:func:`_sources`): subset-sum counting and
+    meeting in the middle.  When both are over their caps, ``ValueError``
+    is raised before anything is built.  Without `verify` only the source
+    of least cost, estimated in O(n), runs, and no truth table is built.
+    The counts are the same exact integers whichever source gives them, and
+    so is the report: the dummies are the zero counts and the classes the
+    groups of equal counts, since two voters of a weighted rule are
+    interchangeable exactly when they swing equally often (Taylor & Zwicker,
+    *Simple Games*, 1999).  The structural findings are read off the rule:
+    it is monotone, and causal unless the quota exceeds the total weight,
+    when it is constant.  By default up to :data:`ORACLE_AUTO_LIMIT` voters
+    (`verify` overrides this either way) every source within its cap runs,
+    and so do the counts per node of the whole system's decision diagram
+    (:meth:`~banzhaf.voting.VotingSystem.diagram`); the table is folded from
+    that same diagram, and all their counts must agree with the table's
+    weights, one derivative per class (:func:`tbp_all`), so the table checks
+    the reduction too.  One transposition per class member after the first
+    checks the classes, that agreement the dummies, and the table's
+    monotonicity, causality and weight the findings.  ``verify=True`` beyond
     :data:`~banzhaf.truthtable.N_MAX` voters, where there is no table to
     check against, raises ``ValueError`` at once.
     """
@@ -591,7 +543,7 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     # non-negative weights can only help a bill, and the empty coalition loses
     checks = StructuralChecks(True, quota <= total, quota > total)
     reduced, kept = _essential_rule(system)
-    sources = _sources(reduced, reduced.diagram)
+    sources = _sources(reduced)
 
     def spread(raw: tuple[int, ...]) -> tuple[int, ...]:
         """The reduced rule's raw counts as the system's counts: each dropped
@@ -602,19 +554,13 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
         return tuple(tbp)
 
     if verify:  # so n <= N_MAX: the diagram and meeting in the middle fit
-        # the diagram source counts the whole system's diagram, which the
-        # table folds from, so the table checks the reduction too
+        # the diagram counts the whole system, and the table folds from it,
+        # so the table checks the reduction too
         diagram = system.diagram()
-        counts = {
-            name: spread(count()) for name, (_, count) in sources.items() if name != "diagram"
-        }
+        counts = {name: spread(count()) for name, (_, count) in sources.items()}
         counts["diagram"] = tbp_vec = _essential(_dd_swing_counts(diagram))
-    else:  # the first source of least estimate; a cost may stop at the best so far
-        best = inf
-        for cost, call in sources.values():
-            estimate = cost(best)
-            if estimate < best:
-                best, count = estimate, call
+    else:  # the first source of least estimate
+        _, count = min(sources.values(), key=itemgetter(0))
         tbp_vec = spread(count())
     dummies = frozenset(i for i, c in enumerate(tbp_vec, 1) if c == 0)
     classes = _groups(tbp_vec)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .truthtable import N_MAX, TruthTable, _var_zero_mask
+from .truthtable import N_MAX, TruthTable, _is_int, _var_zero_mask
 
 #: Inclusion-exclusion visits up to every cube subset; refuse anything bigger.
 MAX_IE_CUBES = 20
@@ -65,15 +65,22 @@ class SopExpr:
     disjoint: bool = field(default=False)
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.n) and self.n >= 0):
+            raise ValueError(f"arity n must be a non-negative integer, got {self.n!r}")
         cubes = tuple(self.cubes)
         object.__setattr__(self, "cubes", cubes)
         used = 0
-        for pos, neg in cubes:
-            clash = pos & neg
-            if clash:
-                indices = [i for i in range(clash.bit_length()) if clash >> i & 1]
-                raise ValueError(f"contradictory literals for variable(s) {indices}")
-            used |= pos | neg
+        try:
+            for pos, neg in cubes:
+                clash = pos & neg
+                if clash:
+                    indices = [i for i in range(clash.bit_length()) if clash >> i & 1]
+                    raise ValueError(f"contradictory literals for variable(s) {indices}")
+                used |= pos | neg
+        except TypeError:
+            raise ValueError("cube masks must be non-negative integers") from None
+        if used < 0:  # the OR of the masks is negative exactly when one of them is
+            raise ValueError("cube masks must be non-negative integers")
         outside = used & ~(((1 << self.n) - 1) << 1)  # bit 0 and bits above n
         if outside:
             i = (outside & -outside).bit_length() - 1
@@ -100,7 +107,7 @@ class SopExpr:
         return True
 
 
-# -- parsing ---------------------------------------------------------------
+# -- parsing and printing --------------------------------------------------
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: a name with its complement mark, if one directly follows, or one other character
@@ -195,6 +202,22 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     elif cubes:
         raise SopSyntaxError("trailing '|' without a term", len(text))
     return SopExpr.from_cubes(n, cubes)
+
+
+def format_sop(expr: SopExpr, names: Sequence[str]) -> str:
+    """Render cubes as whitespace products joined by ``|``; constants as 0/1."""
+    if not expr.cubes:
+        return "0"
+    parts = []
+    for pos, neg in expr.cubes:
+        lits = []
+        for i in range(1, expr.n + 1):
+            if pos >> i & 1:
+                lits.append(names[i - 1])
+            elif neg >> i & 1:
+                lits.append(names[i - 1] + "'")
+        parts.append(" ".join(lits) if lits else "1")
+    return " | ".join(parts)
 
 
 # -- disjointing ------------------------------------------------------------

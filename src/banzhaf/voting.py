@@ -6,7 +6,7 @@ therefore a threshold switching function, pinned down by ``n + 1`` integers
 instead of ``2**n`` table entries, and scale-invariant: multiplying quota and
 weights by the same positive constant changes nothing.  Its decision diagram
 (:meth:`VotingSystem.diagram`) stores each rule that fixing some votes leaves
-once; the swing counts and the dense table are both read off it.
+once; the cross-check's swing counts and the dense table are both read off it.
 
 Quotas above the total weight are deliberately legal - the analyzer reports
 the resulting constant-0 system as a finding rather than refusing it.

@@ -142,6 +142,16 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["derivative", "--voter", "A"]])
+def test_input_refuses_names_next_to_it(command, tmp_path, capsys):
+    payload = {"quota": 12, "weights": [4, 4, 4, 2, 2, 1], "names": list("FGIBNL")}
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--input", str(path), "--names", "A,B,C,D,E,Z")
+    assert code == 2 and out == ""
+    assert "give either --input or --quota/--weights/--names, not both" in err
+
+
 def test_analyze_malformed_input_documents(tmp_path, capsys):
     base = {"quota": 2, "weights": [1, 1, 1]}
     for text, message in [

@@ -290,19 +290,6 @@ def test_diagram_counts_match_enumeration(system):
     assert _dd_swing_counts(diagram) == enum_swing_counts(quota, weights)
 
 
-@settings(max_examples=200, deadline=None)
-@given(large_weight_systems())
-def test_diagram_node_estimate_is_a_bound(system):
-    quota, weights = system
-    assume(quota <= sum(weights))
-    nodes = sum(map(len, VotingSystem(quota, weights).diagram().no))
-    bound = power_module._dd_nodes(weights, gcd(*weights))
-    assert nodes <= bound
-    # at least one node per level: the planner's floor on the diagram's estimate
-    # (the diagram itself may have fewer, as (5; 5, 1) has one)
-    assert bound >= len(weights)
-
-
 @settings(max_examples=300, deadline=None)
 @given(large_weight_systems())
 @example((1, (0,)))  # n = 1: one empty half
@@ -478,7 +465,7 @@ def test_dp_kernel_refuses_huge_tables_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < MAX_DP_BYTES // 64
-    assert "N_MAX" in str(refusal.value) and "MAX_MITM_VOTERS" in str(refusal.value)
+    assert "MAX_MITM_VOTERS" in str(refusal.value)
     # 30 of them are within meet-in-the-middle's cap, and no voter is a dummy
     thirty = VotingSystem(sum(weights[:30]) // 2, weights[:30])
     assert analyze(thirty).tbp == mitm_swings(thirty.quota, thirty.weights)
@@ -642,14 +629,18 @@ def test_light_voters_past_every_cap_are_dropped():
     [
         (tuple(random.Random(5010).choices(range(1, 1001), k=20)), "subset-sum"),
         (tuple(random.Random(5011).sample(range(10**6, 2 * 10**6), 24)), "meet-in-the-middle"),
-        (tuple(random.Random(5012).choices((10**6 - 1, 10**6, 10**6 + 1), k=24)), "diagram"),
+        # a table of 12e6 sums x 4 bytes is past MAX_DP_BYTES
+        (
+            tuple(random.Random(5012).choices((10**6 - 1, 10**6, 10**6 + 1), k=24)),
+            "meet-in-the-middle",
+        ),
     ],
 )
 def test_planner_picks_the_cheapest_source(weights, source):
     quota = sum(weights) // 2 + 1
     system = VotingSystem(quota, weights)
-    sources = power_module._sources(system, system.diagram)
-    assert min(sources, key=lambda name: sources[name][0]()) == source
+    sources = power_module._sources(system)
+    assert min(sources, key=lambda name: sources[name][0]) == source
     report = analyze(system)
     assert not report.dummies  # so the counts need no halving
     assert report.tbp == mitm_swings(quota, weights)
@@ -674,11 +665,12 @@ def test_every_planned_source_gives_the_enumerated_report(system):
     for i, c in enumerate(tbp, 1):
         classes.setdefault(c, []).append(i)
     quota, weights = system.quota, system.weights
-    sources = power_module._sources(system, system.diagram)
+    sources = power_module._sources(system)
     fits = quota > sum(weights) or power_module._dp_size(quota, weights).fits()
-    assert set(sources) == {"meet-in-the-middle", "diagram"} | ({"subset-sum"} if fits else set())
+    assert set(sources) == {"meet-in-the-middle"} | ({"subset-sum"} if fits else set())
     for name, (_, count) in sources.items():
         assert power_module._essential(count()) == tbp, name
+    assert power_module._essential(_dd_swing_counts(system.diagram())) == tbp
     for verify in (False, True):
         report = analyze(system, verify=verify)
         assert report.tbp == tbp
@@ -691,48 +683,75 @@ def test_every_planned_source_gives_the_enumerated_report(system):
 @given(planner_systems())
 def test_planner_picks_the_least_full_estimate(system):
     reduced, _ = power_module._essential_rule(system)
-    sources = power_module._sources(reduced, reduced.diagram)
-    full = {name: cost() for name, (cost, _) in sources.items()}
+    sources = power_module._sources(reduced)
+    estimates = {name: estimate for name, (estimate, _) in sources.items()}
+    assert all(type(estimate) is float for estimate in estimates.values())
     ran = []
     make = power_module._sources
 
-    def spying(system, diagram):
+    def spying(system):
         def spy(name, call):
             ran.append(name)
             return call()
 
         return {
-            name: (cost, lambda name=name, call=call: spy(name, call))
-            for name, (cost, call) in make(system, diagram).items()
+            name: (estimate, lambda name=name, call=call: spy(name, call))
+            for name, (estimate, call) in make(system).items()
         }
 
     with mock.patch.object(power_module, "_sources", spying):
         analyze(system, verify=False)
-    assert ran == [min(full, key=full.get)]  # the first of equal estimates
+    assert ran == [min(estimates, key=estimates.get)]  # the first of equal estimates
 
 
-def test_planner_skips_the_diagram_bound_under_its_floor(monkeypatch):
-    calls = []
-    dd_nodes = power_module._dd_nodes
+def forced_route_corpus():
+    """60 seeded systems: zero weights, repeated weights, large weights, and
+    ten of 25-32 voters with small weights, where both sources fit and no
+    table checks them."""
+    rng = random.Random(3737)
+    systems = []
+    for k in range(50):
+        n = rng.randint(1, 14)
+        if k % 5 == 0:  # zeros among small weights
+            weights = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+        elif k % 5 == 1:  # a few repeated weights
+            weights = rng.choices(rng.sample(range(1, 40), 3), k=n)
+        elif k % 5 == 2:  # large weights, all distinct
+            weights = [10**12 + rng.randrange(10**9) for _ in range(n)]
+        elif k % 5 == 3:  # a few repeated large weights
+            weights = rng.choices((10**6 - 1, 10**6, 10**6 + 1), k=n)
+        else:
+            weights = [rng.randint(1, 100) for _ in range(n)]
+        total = sum(weights)
+        systems.append(VotingSystem(rng.randint(1, total + 1), tuple(weights)))
+    for n in range(25, 33):
+        weights = tuple(rng.randint(1, 10) for _ in range(n))
+        systems.append(VotingSystem(sum(weights) // 2 + 1, weights))
+    for n in (26, 31):  # a quota past two thirds
+        weights = tuple(rng.choice((1, 2, 4)) for _ in range(n))
+        systems.append(VotingSystem(2 * sum(weights) // 3 + 1, weights))
+    return systems
 
-    def counted(*args):
-        calls.append(args)
-        return dd_nodes(*args)
 
-    monkeypatch.setattr(power_module, "_dd_nodes", counted)
-    # a dense-workload shape: 20 voters of weight 1..10, a bare majority
-    weights = tuple(random.Random(5015).choices(range(1, 11), k=20))
-    system = VotingSystem(sum(weights) // 2 + 1, weights)
-    sources = power_module._sources(system, system.diagram)
-    floor = power_module._DD_US + power_module._DD_US_PER_NODE * system.n
-    assert sources["subset-sum"][0]() < floor
-    report = analyze(system, verify=False)
-    assert calls == []
-    assert not report.dummies and report.tbp == mitm_swings(system.quota, weights)
-    # near-equal weights near 10**6: the floor is under the other estimates
-    weights = tuple(random.Random(5012).choices((10**6 - 1, 10**6, 10**6 + 1), k=24))
-    analyze(VotingSystem(sum(weights) // 2 + 1, weights), verify=False)
-    assert len(calls) == 1
+def test_each_forced_source_gives_the_same_report():
+    make = power_module._sources
+    forced = {"subset-sum": 0, "meet-in-the-middle": 0}
+    for system in forced_route_corpus():
+        report = analyze(system, verify=False)
+        if system.n <= 14:
+            assert report.tbp == enum_tbp(system), system
+        reduced, _ = power_module._essential_rule(system)
+        names = list(make(reduced))
+        assert system.n < 25 or names == ["subset-sum", "meet-in-the-middle"], system
+        for name in names:
+
+            def only(system, name=name):
+                return {name: make(system)[name]}
+
+            with mock.patch.object(power_module, "_sources", only):
+                assert analyze(system, verify=False) == report, (system, name)
+            forced[name] += 1
+    assert min(forced.values()) >= 40
 
 
 def test_analyze_of_28_voters_near_10_to_the_12_is_fast():
@@ -963,7 +982,6 @@ def test_verify_takes_one_derivative_per_class(monkeypatch):
         raise AssertionError("not called under verify")
 
     monkeypatch.setattr(TruthTable, "is_vacuous_in", refuse)
-    monkeypatch.setattr(power_module, "_dd_nodes", refuse)
     report = analyze(VotingSystem(4, (3, 2, 2)), verify=True)  # 2 of 3: one class
     assert report.classes == ((1, 2, 3),) and report.oracle_verified
     assert calls == {"difference_weight": [(1,)], "is_symmetric_in": [(1, 2), (1, 3)]}

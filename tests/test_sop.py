@@ -22,7 +22,7 @@ from banzhaf import (
     sop_weight_ie,
     tt_to_minterm_sop,
 )
-from banzhaf.cli import format_sop
+from banzhaf.sop import format_sop
 from reference import count_table, disjoint_cover, ie_weight, table_of
 
 XYZ = ["X1", "X2", "X3"]
@@ -159,6 +159,13 @@ def test_sop_expr_refuses_bits_outside_its_variables():
     with pytest.raises(ValueError, match=r"contradictory literals for variable\(s\) \[2, 3\]"):
         SopExpr(3, (cube({1}), cube({2, 3}, {2, 3})))
     assert SopExpr(3, (cube({1, 3}, {2}),)).cubes == ((0b1010, 0b0100),)
+    # the arity is a non-negative int proper, and each mask a non-negative int
+    for n in (True, 2.5, "3", -1):
+        with pytest.raises(ValueError, match="arity n must be a non-negative integer"):
+            SopExpr(n, ())
+    for cubes in (((2.0, 0),), ((2, -4),), (cube({1}), (0, -2))):
+        with pytest.raises(ValueError, match="cube masks must be non-negative integers"):
+            SopExpr(3, cubes)
 
 
 def test_cube_weight_examples():
