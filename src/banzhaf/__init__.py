@@ -3,12 +3,12 @@
 The package models a weighted yes-no voting system as a threshold switching
 function and computes each voter's total and normalized Banzhaf power from
 the weight of the function's Boolean difference.  A planner counts each
-system with the cheaper of two exact sources within its cap: meeting in the
-middle, or subset-sum counting.  The cross-check runs each one within its
-cap, counts the decision diagram per node, and compares them all with the
-dense truth table's counts.  Supporting machinery - dense truth tables and
-a sum-of-products algebra with sequential disjointing - is exposed as a
-library; the ``banzhaf`` command wraps it for the command line.
+system with the cheaper of two exact sources within one time budget and one
+memory budget: meeting in the middle, or subset-sum counting.  The
+cross-check runs each one within them, counts the decision diagram per node,
+and compares them all with the dense truth table's counts.  Dense truth
+tables and a sum-of-products algebra with sequential disjointing are exposed
+as a library; the ``banzhaf`` command wraps it for the command line.
 
 >>> from banzhaf import VotingSystem, analyze
 >>> report = analyze(VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L")))
@@ -17,9 +17,6 @@ library; the ``banzhaf`` command wraps it for the command line.
 """
 
 from .power import (
-    MAX_DP_BYTES,
-    MAX_DP_WORK,
-    MAX_MITM_VOTERS,
     NoDecisiveVoterError,
     ORACLE_AUTO_LIMIT,
     OracleDisagreementError,
@@ -33,7 +30,6 @@ from .power import (
 )
 from .sop import (
     MAX_DISJOINT_CUBES,
-    MAX_IE_CUBES,
     MAX_SOP_CUBES,
     SopExpr,
     SopSyntaxError,
@@ -45,15 +41,13 @@ from .sop import (
     sop_weight_ie,
     tt_to_minterm_sop,
 )
-from .truthtable import N_MAX, TruthTable
+from .truthtable import MAX_BYTES, MAX_SECONDS, N_MAX, TruthTable
 from .voting import VotingSystem
 
 __all__ = [
+    "MAX_BYTES",
     "MAX_DISJOINT_CUBES",
-    "MAX_DP_BYTES",
-    "MAX_DP_WORK",
-    "MAX_IE_CUBES",
-    "MAX_MITM_VOTERS",
+    "MAX_SECONDS",
     "MAX_SOP_CUBES",
     "N_MAX",
     "NoDecisiveVoterError",

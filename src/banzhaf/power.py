@@ -3,23 +3,20 @@
 A voter's total Banzhaf power (TBP) is the number of ways that voter can
 swing the outcome: winning vote configurations that turn losing when the
 voter alone defects.  For a monotone rule this is exactly the weight of the
-Boolean difference of the rule with respect to that voter.  Two exact
-sources count that weight for :func:`analyze`: meeting in the middle between
-the subset sums of two halves of the voters, up to :data:`MAX_MITM_VOTERS`;
-and subset-sum counting over the other voters, under :data:`MAX_DP_BYTES` and
-:data:`MAX_DP_WORK`.  Its cross-check also takes the weight per node of the
-rule's decision diagram, up to :data:`~banzhaf.truthtable.N_MAX` voters.
-Dualization, ``f^d(x) = not f(not x)``, leaves every Boolean-difference
-weight as it is, so the counter takes the smaller quota of the rule
-``(q; w)`` and of its dual ``(T - q + 1; w)``, ``T`` the total weight.
-:func:`tbp_all` takes the weight on the dense truth table instead.
-:func:`analyze` first drops the light voters that can never swing (dummies:
-their Boolean difference is 0), then counts the rule on the others once,
-with the source of least estimated cost among those within their caps, and
-reads the dummies (zero counts) and the symmetry classes (equal counts) off
-the counts.  Under its cross-check it runs every source within its cap and
-the diagram, takes the weights on the table too, one derivative per class,
-and fails on any disagreement.
+Boolean difference of the rule with respect to that voter.  :func:`analyze`
+drops the light voters that can never swing (dummies: their Boolean
+difference is 0), counts the rule on the others once, and reads the dummies
+(zero counts) and the symmetry classes (equal counts) off the counts.  Two
+exact sources count it: meeting in the middle between the subset sums of two
+halves of the voters, and subset-sum counting over the other voters on the
+smaller of the rule ``(q; w)`` and its dual ``(T - q + 1; w)``, ``T`` the
+total weight (dualization, ``f^d(x) = not f(not x)``, keeps every
+Boolean-difference weight).  Each is priced in O(n) before it runs
+(:class:`~banzhaf.truthtable.Price`), the cheaper within
+:data:`~banzhaf.truthtable.MAX_SECONDS` and :data:`~banzhaf.truthtable.MAX_BYTES`
+runs, and the cross-check runs both within them, counts the rule's decision
+diagram per node, takes the weights on the dense truth table
+(:func:`tbp_all`), one derivative per class, and fails on any disagreement.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -35,31 +32,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice, repeat
-from math import gcd
+from math import gcd, log2
 from operator import add, itemgetter
 from struct import iter_unpack
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .truthtable import N_MAX, TruthTable
+from .truthtable import N_MAX, Price, TruthTable, _exp2
 from .voting import Diagram, VotingSystem
 
 #: analyze() runs the oracle cross-check by default up to this arity.
 ORACLE_AUTO_LIMIT = 12
-
-#: Most voters the meet-in-the-middle oracle takes: 2**16 subset sums per
-#: half at 32 voters, about 0.2 s.
-MAX_MITM_VOTERS = 32
-
-#: Largest packed subset-sum table, in bytes, that the subset-sum counter
-#: builds.  Its time and memory grow with this size, so inputs past it are
-#: refused with ``ValueError`` rather than left to run out of memory.
-MAX_DP_BYTES = 1 << 25
-
-#: Most byte operations the subset-sum counter spends in its passes over its
-#: table, one per voter lighter than the quota: about 2 s at 1e9 operations
-#: per second.  Its prefix passes and window sums come on top.
-MAX_DP_WORK = 1 << 31
 
 #: Counts the subset-sum counter decodes into one list at a time when it reads
 #: every field of its table: the list stays a few MB however large the table.
@@ -205,6 +189,21 @@ def _subset_sums(weights: Sequence[int]) -> list[int]:
     return sums
 
 
+# Meeting in the middle's cost model in microseconds: fixed, per subset sum (fit
+# on 378 systems of 8-32 voters), and past 2**15 sums per sum and doubling, as the
+# sorts and bisects leave the cache (0.65-1.56 times the time at 26-40 voters).
+_MITM_US, _MITM_US_PER_SUM, _MITM_US_PAST_CACHE, _MITM_CACHE = 3.0, 0.57, 0.17, 1 << 15
+
+
+def _mitm_price(n: int) -> Price:
+    """The price of ``2**ceil(n/2) + 2**floor(n/2)`` subset sums, 72 bytes each."""
+    sums = _exp2((n + 1) // 2) + _exp2(n // 2)
+    us = _MITM_US + _MITM_US_PER_SUM * sums
+    if sums > _MITM_CACHE:
+        us += _MITM_US_PAST_CACHE * sums * log2(sums / _MITM_CACHE)
+    return Price("meet-in-the-middle", us * 1e-6, 72 * sums)
+
+
 def _mitm_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     """Raw per-voter swing counts by meeting in the middle (Horowitz & Sahni, 1974).
 
@@ -214,11 +213,10 @@ def _mitm_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     ``losing(a) - losing(a + w)``: ``losing(a)`` counts the other half's
     subset sums below ``quota - a``, one bisect per subset of a half.  Pure
     threshold arithmetic; it shares nothing with the diagram, table or DP.
-    Raises ``ValueError`` past :data:`MAX_MITM_VOTERS`, before allocating.
+    Raises ``ValueError`` past a budget (:func:`_mitm_price`), before allocating.
     """
     n = len(weights)
-    if n > MAX_MITM_VOTERS:
-        raise ValueError(f"{n} voters exceed MAX_MITM_VOTERS = {MAX_MITM_VOTERS}")
+    _mitm_price(n).check()
     halves = (weights[: n // 2], weights[n // 2 :])
     counts: list[int] = []
     for own, other in (halves, halves[::-1]):
@@ -233,7 +231,7 @@ def _mitm_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def tbp_oracle_mitm(system: VotingSystem) -> tuple[int, ...]:
-    """Independent swing counts by meeting in the middle, up to :data:`MAX_MITM_VOTERS` voters."""
+    """Independent swing counts by meeting in the middle; refused past a budget."""
     return _essential(_mitm_swing_counts(system.quota, system.weights))
 
 
@@ -243,21 +241,21 @@ def tbp_oracle_mitm(system: VotingSystem) -> tuple[int, ...]:
 # The subset-sum counter's cost model in microseconds: a fixed cost per call,
 # and a cost per byte operation of the big-integer passes, per decoded field,
 # per strided byte sum (one per byte of a field in each run of prefix sums
-# read) and per byte summed.  A least-squares fit of the relative error on 369
-# systems (councils of 4-12 voters with weights up to 50; 8-28 voters with
-# weights up to 10..10**12, all distinct, 1-4 distinct, or multiples of a unit
-# plus dummies; 60-250 voters with weights up to 100; quotas of 50-67 %), each
-# timed in both cases on a 2-vCPU Xeon with Python 3.11.7.  Its estimates ran
-# 0.2-1.8 times the measured time, low on tables of tens of MB.  On 378 more
-# of the same kinds the case it picks took 1.004 times the faster case's time
-# on average, 1.26 times at worst.
+# read) and per byte summed, fit on 369 systems of 4-250 voters (weights up to
+# 10..10**12, quotas of 50-67 %) timed in both cases on a 2-vCPU Xeon with
+# Python 3.11.7; on 378 more, the case it picks took 1.004 times the faster
+# case's time on average, 1.26 times at worst.  Past a table of 2 MiB (the L2
+# cache) each byte operation costs more on the table's share beyond it, four
+# times more in the prefix passes, whose shifted copies reach twice the table:
+# fit on 80 tables of 2-33 MB, 0.52-1.91 times the measured time there.
 _DP_US, _DP_US_PER_BYTE_OP = 11.5, 4.16e-4
 _DP_US_PER_FIELD, _DP_US_PER_RUN, _DP_US_PER_BYTE_SUM = 0.163, 0.62, 1.16e-3
+_DP_CACHE, _DP_US_PAST_CACHE = 1 << 21, 2.6e-4
 
 
 class _DPSize(NamedTuple):
     """The subset-sum counter's table for one input, after the gcd reduction,
-    and its cost: which case reads the window sums, and the estimated time."""
+    and its price: which case reads the window sums, and the estimated time."""
 
     g: int  # the gcd of the weights
     q: int  # the reduced quota: the table's fields
@@ -265,35 +263,31 @@ class _DPSize(NamedTuple):
     work: int  # byte operations of the per-voter passes
     steps: frozenset[int]  # the distinct nonzero reduced weights
     reads: int  # prefix sums the window sums read: sum(q // r) over the steps
-
-    def fits(self) -> bool:
-        return self.q * self.nbytes <= MAX_DP_BYTES and self.work <= MAX_DP_WORK
+    prefix: int  # byte operations of the log2(q) passes that make prefix sums
 
     def read_costs(self) -> tuple[float, float]:
         """Estimated time of the window sums by each case: decoding all ``q``
         fields, or ``log2(q)`` prefix passes and then, per run of prefix sums
         read, one strided byte sum per byte of a field."""
-        q, nbytes = self.q, self.nbytes
         runs = 1 + 2 * len(self.steps)
-        prefix_passes = q * nbytes * (q - 1).bit_length()
-        byte_sums = nbytes * (_DP_US_PER_RUN * runs + _DP_US_PER_BYTE_SUM * self.reads)
-        return _DP_US_PER_FIELD * q, _DP_US_PER_BYTE_OP * prefix_passes + byte_sums
+        byte_sums = self.nbytes * (_DP_US_PER_RUN * runs + _DP_US_PER_BYTE_SUM * self.reads)
+        return _DP_US_PER_FIELD * self.q, _DP_US_PER_BYTE_OP * self.prefix + byte_sums
 
     def dense(self) -> bool:
         """Whether every field is decoded: the cheaper case by :meth:`read_costs`."""
         decode_all, byte_sums = self.read_costs()
         return decode_all <= byte_sums
 
-    def cost(self) -> float:
-        """Estimated time of :func:`_dp_swing_counts`: the per-voter passes and the cheaper read."""
-        return _DP_US + _DP_US_PER_BYTE_OP * self.work + min(self.read_costs())
-
-    def refusal(self) -> str:
-        return (
-            f"subset-sum table of {self.q} sums x {self.nbytes} bytes, {self.work} byte "
-            f"operations to fill, exceeds MAX_DP_BYTES = {MAX_DP_BYTES} or MAX_DP_WORK = "
-            f"{MAX_DP_WORK}"
-        )
+    def price(self) -> Price:
+        """Seconds of :func:`_dp_swing_counts`' passes and read, and its table's bytes."""
+        table = self.q * self.nbytes
+        if self.q.bit_length() > 1000:  # weights past the float range
+            return Price("subset-sum counter", float("inf"), float("inf"))
+        us = _DP_US + _DP_US_PER_BYTE_OP * self.work + min(self.read_costs())
+        if table > _DP_CACHE:
+            passes = self.work + (0 if self.dense() else 4 * self.prefix)
+            us += _DP_US_PAST_CACHE * passes * (1 - _DP_CACHE / table)
+        return Price("subset-sum counter", us * 1e-6, float(table))
 
 
 def _dp_size(quota: int, weights: tuple[int, ...]) -> _DPSize:
@@ -310,7 +304,8 @@ def _dp_size(quota: int, weights: tuple[int, ...]) -> _DPSize:
     nbytes = len(weights) // 8 + 1
     work = sum(1 for w in weights if w // g < q) * q * nbytes
     steps = frozenset(w // g for w in weights) - {0}
-    return _DPSize(g, q, nbytes, work, steps, sum(q // r for r in steps))
+    reads = sum(q // r for r in steps)
+    return _DPSize(g, q, nbytes, work, steps, reads, q * nbytes * (q - 1).bit_length())
 
 
 def _dp_swing_counts(
@@ -319,13 +314,11 @@ def _dp_swing_counts(
     """Raw per-voter swing counts by subset-sum counting, in exact integers.
 
     A voter of weight ``w`` swings for the subsets of the others whose sum
-    lies in ``[quota - w, quota - 1]``.  Quota and weights are first divided
-    by their gcd ``g``: the rule ``(q; w)`` is the rule ``(ceil(q/g); w/g)``.
-    Every voter swings as often in the dual rule ``(T - q + 1; w)``, where
-    ``T`` is the total weight: taking the complement among the others maps
-    the sums in ``[q - w, q - 1]`` one to one onto those in
-    ``[T - q + 1 - w, T - q]``.  So the counter counts whichever of the two
-    quotas is smaller (:func:`_dp_size`).  Only sums below the quota matter,
+    lies in ``[quota - w, quota - 1]``.  Every voter swings as often in the
+    dual rule ``(T - q + 1; w)``, ``T`` the total weight, since the
+    complement among the others maps those sums one to one onto
+    ``[T - q + 1 - w, T - q]``, so the counter counts the smaller of the two
+    quotas, divided by the gcd (:func:`_dp_size`).  Only sums below it matter,
     so one forward pass counts the subsets of all voters at each sum
     ``s < q`` as the coefficients of the polynomial ``prod (1 + x**w) mod
     x**q``.  The coefficients are packed into one big integer,
@@ -347,14 +340,14 @@ def _dp_swing_counts(
     decoded: by linearity a run's sum is, over the bytes of a field, one
     C-level strided slice of that byte summed and shifted into place.
     Nothing proportional to the total weight is allocated.  Raises ``ValueError``
-    past :data:`MAX_DP_BYTES` or :data:`MAX_DP_WORK`.  `size`, when given, is
-    :func:`_dp_size` of the same input.
+    when :meth:`_DPSize.price` passes a budget, before allocating.  `size`,
+    when given, is :func:`_dp_size` of the same input, priced within both.
     """
     if quota > sum(weights):  # nobody wins, so nobody swings (all-zero weights too)
         return (0,) * len(weights)
-    size = size or _dp_size(quota, weights)
-    if not size.fits():
-        raise ValueError(size.refusal())
+    if size is None:
+        size = _dp_size(quota, weights)
+        size.price().check()
     g, q, nbytes, steps = size.g, size.q, size.nbytes, size.steps
     bits = 8 * nbytes
     mask = (1 << q * bits) - 1
@@ -464,41 +457,23 @@ def _essential_rule(system: VotingSystem) -> tuple[VotingSystem, tuple[int, ...]
     return VotingSystem(-(-quota // g), tuple(weights[i] // g for i in kept)), kept
 
 
-# Meeting in the middle's cost model in microseconds: a fixed cost per call
-# plus a cost per subset sum.  A least-squares fit of the relative error on 378
-# systems (n = 8..32; weights up to 10..10**12, all distinct, 1-4 distinct, or
-# multiples of a unit plus dummies; quotas of 50-67 %) on a 2-vCPU Xeon with
-# Python 3.11.
-_MITM_US, _MITM_US_PER_SUM = 3.0, 0.57
-
-
 def _sources(system: VotingSystem) -> dict[str, tuple[float, Callable[[], tuple[int, ...]]]]:
-    """Every count source within its cap, as ``{name: (estimate, call)}``.
-
-    The sources are subset-sum counting under :data:`MAX_DP_BYTES` and
-    :data:`MAX_DP_WORK` on the smaller of the rule's and its dual's tables
-    (:func:`_dp_size`), and meeting in the middle up to
-    :data:`MAX_MITM_VOTERS` voters.  Each estimate is the call's time in
-    microseconds, worked out in O(n); each call returns the raw swing
-    counts.  Raises ``ValueError`` when no source fits.
-    """
+    """Every count source within both budgets, as ``{name: (seconds, call)}``:
+    subset-sum counting (:meth:`_DPSize.price`) and meeting in the middle
+    (:func:`_mitm_price`), priced in O(n); each call returns the raw swing
+    counts.  Raises ``ValueError``, naming each price, when none fits."""
     n, quota, weights = system.n, system.quota, system.weights
-    sources = {}
     size = _dp_size(quota, weights) if quota <= system.total_weight else None
-    if size is None:  # constant 0: the counter returns at once
-        sources["subset-sum"] = 0.0, lambda: _dp_swing_counts(quota, weights)
-    elif size.fits():
-        sources["subset-sum"] = size.cost(), lambda: _dp_swing_counts(quota, weights, size)
-    if n <= MAX_MITM_VOTERS:  # 2**(n/2) subset sums per half
-        sources["meet-in-the-middle"] = (
-            _MITM_US + _MITM_US_PER_SUM * ((1 << (n + 1) // 2) + (1 << n // 2)),
-            lambda: _mitm_swing_counts(quota, weights),
-        )
-    if not sources:  # so size is a table over its caps
-        raise ValueError(
-            f"no count source fits {n} voters: past MAX_MITM_VOTERS = {MAX_MITM_VOTERS} "
-            f"for meeting in the middle, and the {size.refusal()}"
-        )
+    # with no size the rule is constant 0, and the counter returns at once
+    dp_price = size.price() if size else Price("subset-sum counter", 0.0, 0.0)
+    priced = {
+        "subset-sum": (dp_price, partial(_dp_swing_counts, quota, weights, size)),
+        "meet-in-the-middle": (_mitm_price(n), partial(_mitm_swing_counts, quota, weights)),
+    }
+    sources = {name: (p.seconds, count) for name, (p, count) in priced.items() if not p.refusal()}
+    if not sources:
+        refusals = "; ".join(p.refusal() for p, _ in priced.values())
+        raise ValueError(f"no count source fits {n} voters: {refusals}")
     return sources
 
 
@@ -507,30 +482,22 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
 
     First, in O(n log n), the light voters that can never swing are dropped
     and the others' weights and the quota divided by their gcd
-    (:func:`_essential_rule`).  The dropped voters get count 0, and the
-    reduced rule's counts are the other voters'.  Those are the
-    Boolean-difference weights, counted by the exact sources within their
-    caps on the reduced rule (:func:`_sources`): subset-sum counting and
-    meeting in the middle.  When both are over their caps, ``ValueError``
-    is raised before anything is built.  Without `verify` only the source
-    of least cost, estimated in O(n), runs, and no truth table is built.
-    The counts are the same exact integers whichever source gives them, and
-    so is the report: the dummies are the zero counts and the classes the
-    groups of equal counts, since two voters of a weighted rule are
-    interchangeable exactly when they swing equally often (Taylor & Zwicker,
-    *Simple Games*, 1999).  The structural findings are read off the rule:
-    it is monotone, and causal unless the quota exceeds the total weight,
-    when it is constant.  By default up to :data:`ORACLE_AUTO_LIMIT` voters
-    (`verify` overrides this either way) every source within its cap runs,
-    and so do the counts per node of the whole system's decision diagram
-    (:meth:`~banzhaf.voting.VotingSystem.diagram`); the table is folded from
-    that same diagram, and all their counts must agree with the table's
-    weights, one derivative per class (:func:`tbp_all`), so the table checks
-    the reduction too.  One transposition per class member after the first
-    checks the classes, that agreement the dummies, and the table's
-    monotonicity, causality and weight the findings.  ``verify=True`` beyond
-    :data:`~banzhaf.truthtable.N_MAX` voters, where there is no table to
-    check against, raises ``ValueError`` at once.
+    (:func:`_essential_rule`); the dropped voters get count 0.  The reduced
+    rule is counted by the sources within both budgets (:func:`_sources`),
+    and ``ValueError`` is raised before anything is built when none fits.
+    Without `verify` only the source of least price runs, and no truth table
+    is built.  The counts are the same exact integers whichever source gives
+    them, and so is the report: the dummies are the zero counts and the
+    classes the groups of equal counts, since two voters of a weighted rule
+    are interchangeable exactly when they swing equally often (Taylor &
+    Zwicker, *Simple Games*, 1999).  The rule is monotone, and causal unless
+    the quota exceeds the total weight, when it is constant.  By default up
+    to :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way)
+    every source within both budgets runs, and so do the counts per node of
+    the whole system's decision diagram; all must equal the weights on the
+    table folded from that diagram (:func:`tbp_all`), which also checks the
+    reduction, the classes, the dummies and the findings.  ``verify=True``
+    beyond :data:`~banzhaf.truthtable.N_MAX` voters raises ``ValueError``.
     """
     n = system.n
     if verify is None:

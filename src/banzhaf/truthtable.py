@@ -15,11 +15,46 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Largest arity for dense tables (2**24 bits = 2 MiB per table) and for a
 #: system's decision diagram.  Larger systems are counted without either, by
 #: meeting in the middle or subset-sum counting.
 N_MAX = 24
+
+#: Time budget of one counting-kernel call: its price in seconds, not a timeout.
+MAX_SECONDS = 1.0
+
+#: Memory budget of one counting-kernel call: bytes of its largest structure.
+MAX_BYTES = 1 << 25
+
+
+class Price(NamedTuple):
+    """A counting kernel's estimated seconds (2-vCPU Xeon, Python 3.11) and
+    bytes on one input, worked out in O(n) or O(cubes) before it allocates."""
+
+    kernel: str
+    seconds: float
+    nbytes: float
+
+    def refusal(self) -> str:
+        """Why a call at this price is refused; empty within both budgets."""
+        if self.seconds <= MAX_SECONDS and self.nbytes <= MAX_BYTES:
+            return ""
+        over = [f"MAX_SECONDS = {MAX_SECONDS} s"] * (self.seconds > MAX_SECONDS)
+        over += [f"MAX_BYTES = {MAX_BYTES} bytes"] * (self.nbytes > MAX_BYTES)
+        price = f"{self.kernel} priced at {self.seconds:.3g} s and {self.nbytes:.3g} bytes"
+        return f"{price} passes {' and '.join(over)}"
+
+    def check(self) -> None:
+        """Raise ``ValueError`` with :meth:`refusal` past either budget."""
+        if self.refusal():
+            raise ValueError(self.refusal())
+
+
+def _exp2(k: int) -> float:
+    """``2**k`` for a price, infinite past the float range."""
+    return 2.0**k if k < 1024 else float("inf")
 
 
 def _is_int(x: object) -> bool:

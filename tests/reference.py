@@ -13,6 +13,8 @@ each extended conjunction for a clash.  The package's kernels skip work
 whose outcome is fixed in advance and must give the same covers and sums.
 """
 
+from itertools import combinations
+
 from banzhaf import TruthTable, VotingSystem
 
 
@@ -100,11 +102,15 @@ def _times_complement(p, q, bp, bq):
 
 
 def disjoint_cover(cubes, cap):
-    """Sequential disjointing of `cubes` in list order, as a tuple of cubes.
+    """Sequential disjointing of `cubes`, stable-sorted by literal count, as a
+    tuple of cubes; pairwise disjoint cubes are returned in their own order.
 
     Raises ``ValueError`` when, after any earlier cube, the cubes produced so
     far would pass `cap`.
     """
+    if all(ap & bq or aq & bp for (ap, aq), (bp, bq) in combinations(cubes, 2)):
+        return tuple(cubes)
+    cubes = sorted(cubes, key=lambda cube: bin(cube[0] | cube[1]).count("1"))
     out = []
     for k, cube in enumerate(cubes):
         fragments = [cube]

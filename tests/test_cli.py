@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -485,20 +487,82 @@ def test_analyze_subset_sum_work_cap(capsys):
     weights = ",".join(["3", "7"] * 5000)
     code, out, err = run_cli(capsys, "analyze", "--quota", "25001", "--weights", weights)
     assert code == 2 and out == ""
-    assert "MAX_DP_WORK" in err
+    assert "subset-sum counter priced at" in err and "passes MAX_SECONDS = 1.0 s" in err
 
 
-@pytest.mark.parametrize("n, code", [(28, 0), (33, 2)])
+@pytest.mark.parametrize("n, code", [(28, 0), (33, 0), (36, 2)])
 def test_analyze_large_weights_past_the_diagram(capsys, n, code):
-    # distinct weights near 10**12: meeting in the middle counts up to 32 voters
+    # distinct weights near 10**12: meeting in the middle counts up to 35
+    # voters, whose 2**18 + 2**17 subset sums fit MAX_BYTES
     weights = [10**12 + 2**k for k in range(n)]
     args = ["--quota", str(sum(weights) // 2 + 1), "--weights", ",".join(map(str, weights))]
     got, out, err = run_cli(capsys, "analyze", *args)
     assert got == code
     if code:
-        assert out == "" and "MAX_MITM_VOTERS" in err and "MAX_DP_BYTES" in err
+        assert out == "" and "meet-in-the-middle priced at" in err and "MAX_BYTES" in err
     else:
         assert err == "" and "oracle: not run" in out
+
+
+def budget_corners():
+    """Per kernel, seeded inputs at its budget corner: the library call, the
+    kernel its refusal names, and the command lines that reach it."""
+    rng = random.Random(5015)
+    weights = [rng.randint(66500, 133000) for _ in range(63)]
+    dp = banzhaf.VotingSystem(sum(weights) // 2, tuple(weights))
+    far = [10**12 + rng.randrange(10**9) for _ in range(40)]
+    mitm = banzhaf.VotingSystem(sum(far) // 2 + 1, tuple(far))
+    table_text = big_sop()
+    ie = banzhaf.SopExpr(24, tuple((1 << i, 0) for i in range(1, 25)))
+    ie_text = " | ".join(f"a{i}" for i in range(24))
+
+    def system_args(system):
+        weights = ",".join(map(str, system.weights))
+        return ["analyze", "--quota", str(system.quota), "--weights", weights]
+
+    return [
+        (lambda: banzhaf.tbp_oracle_dp(dp), "subset-sum counter", [system_args(dp)]),
+        (lambda: banzhaf.tbp_oracle_mitm(mitm), "meet-in-the-middle", [system_args(mitm)]),
+        (
+            lambda expr=parse_sop(table_text, sop_names(table_text)): sop_to_tt(expr),
+            "SOP table",
+            [["weight", table_text], ["derivative", "--expr", table_text, "--voter", "a"]],
+        ),
+        (
+            lambda: banzhaf.sop_weight_ie(ie),
+            "inclusion-exclusion",
+            [["weight", ie_text, "--method", "ie"]],
+        ),
+    ]
+
+
+def big_sop(seed=1):
+    """4,096 cubes of 3-6 literals, a quarter complemented, on 24 variables a..x."""
+    rng = random.Random(seed)
+    names = "abcdefghijklmnopqrstuvwx"
+    cubes = (rng.sample(names, rng.randint(3, 6)) for _ in range(4096))
+    return " | ".join(
+        " ".join(v + ("'" if rng.random() < 0.25 else "") for v in cube) for cube in cubes
+    )
+
+
+def test_each_kernel_is_refused_at_its_budget_corner(capsys):
+    for call, kernel, command_lines in budget_corners():
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{kernel} priced at .* passes MAX_SECONDS = 1.0 s"):
+            call()
+        assert time.perf_counter() - start < 0.1, kernel
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20, kernel
+        finally:
+            tracemalloc.stop()
+        for argv in command_lines:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv[0]
+            assert f"{kernel} priced at" in err and "MAX_SECONDS = 1.0 s" in err
 
 
 def test_derivative_unknown_voter(capsys):

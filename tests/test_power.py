@@ -33,14 +33,13 @@ from banzhaf import (
 import banzhaf.power as power_module
 from banzhaf.power import (
     DP_BLOCK,
-    MAX_DP_BYTES,
-    MAX_DP_WORK,
-    MAX_MITM_VOTERS,
     _dd_swing_counts,
     _dp_swing_counts,
+    _mitm_price,
     _mitm_swing_counts,
 )
-from banzhaf.truthtable import N_MAX
+import banzhaf.truthtable as truthtable_module
+from banzhaf.truthtable import MAX_BYTES, MAX_SECONDS, N_MAX
 from banzhaf.voting import Diagram
 from reference import count_table, enum_swing_counts, enum_tbp, scaled
 
@@ -131,8 +130,8 @@ def test_normalize_rejects_all_zero():
 def test_enum_oracle_values():
     assert tbp_oracle_mitm(EEC) == (5, 5, 5, 3, 3, 0)
     assert tbp_oracle_mitm(EEEC) == (53, 53, 53, 53, 29, 29, 21, 21, 5)
-    with pytest.raises(ValueError, match="MAX_MITM_VOTERS"):
-        tbp_oracle_mitm(VotingSystem(11, (1,) * (MAX_MITM_VOTERS + 1)))
+    with pytest.raises(ValueError, match="meet-in-the-middle priced at .* passes MAX_BYTES"):
+        tbp_oracle_mitm(VotingSystem(11, (1,) * 36))
 
 
 def test_enum_oracle_k_out_of_n_closed_form():
@@ -142,18 +141,20 @@ def test_enum_oracle_k_out_of_n_closed_form():
 
 
 def test_mitm_oracle_refuses_past_its_cap_without_allocating():
-    system = VotingSystem(17, (1,) * (MAX_MITM_VOTERS + 1))
+    # 36 voters: 2**19 subset sums at 72 bytes each pass MAX_BYTES; 35 fit
+    assert _mitm_price(36).nbytes > MAX_BYTES >= _mitm_price(35).nbytes
+    assert _mitm_price(36).seconds < MAX_SECONDS  # so the memory budget binds
+    system = VotingSystem(18, (1,) * 36)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="MAX_MITM_VOTERS"):
+        with pytest.raises(ValueError, match="meet-in-the-middle priced at .* passes MAX_BYTES"):
             tbp_oracle_mitm(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16  # refused before any subset sum is listed
-    assert MAX_MITM_VOTERS == 32
-    at_cap = VotingSystem(17, (1,) * MAX_MITM_VOTERS)
-    assert tbp_oracle_mitm(at_cap) == (comb(MAX_MITM_VOTERS - 1, 16),) * MAX_MITM_VOTERS
+    at_budget = VotingSystem(17, (1,) * 35)
+    assert tbp_oracle_mitm(at_budget) == (comb(34, 16),) * 35
 
 
 def test_dp_oracle_values():
@@ -454,57 +455,78 @@ def test_dp_sparse_case_memory_stays_near_the_table():
 
 
 def test_dp_kernel_refuses_huge_tables_without_allocating():
-    # co-prime, so gcd 1: past MAX_MITM_VOTERS every source is over its cap
-    weights = tuple(10**12 + k for k in range(MAX_MITM_VOTERS + 1))
+    # co-prime, so gcd 1: at 40 voters both sources pass both budgets
+    weights = tuple(10**12 + k for k in range(40))
     system = VotingSystem(sum(weights) // 2, weights)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="MAX_DP_BYTES") as refusal:
+        with pytest.raises(ValueError, match="subset-sum counter priced at") as refusal:
             analyze(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < MAX_DP_BYTES // 64
-    assert "MAX_MITM_VOTERS" in str(refusal.value)
-    # 30 of them are within meet-in-the-middle's cap, and no voter is a dummy
+    assert peak < MAX_BYTES // 64
+    assert "meet-in-the-middle priced at" in str(refusal.value)
+    # 30 of them are within meet-in-the-middle's budgets, and no voter is a dummy
     thirty = VotingSystem(sum(weights[:30]) // 2, weights[:30])
     assert analyze(thirty).tbp == mitm_swings(thirty.quota, thirty.weights)
     # the cross-check skips the subset-sum table of three such voters, not the system
     small = VotingSystem(2 * 10**12, (10**12 - 1, 10**12, 10**12 + 1))
-    with pytest.raises(ValueError, match="MAX_DP_BYTES"):
+    with pytest.raises(ValueError, match="subset-sum counter priced at .* MAX_BYTES"):
         tbp_oracle_dp(small)
     assert analyze(small).oracle_verified
     assert analyze(small).tbp == analyze(small, verify=False).tbp == (1, 1, 3)
 
 
 def test_dp_kernel_refuses_too_much_work(monkeypatch):
-    import banzhaf.power as power_module
-
     # gcd 2: quota 4, and the voters of weight 1, 2, 1 (not 4) each pass over
-    # 4 sums x 1 byte, so the work is 3 x 4 x 1 = 12
+    # 4 sums x 1 byte; the counter's fixed cost prices it above meeting in
+    # the middle's 2 + 2 subset sums
     system = VotingSystem(7, (2, 4, 8, 2))
-    monkeypatch.setattr(power_module, "MAX_DP_WORK", 12)
+    price = power_module._dp_size(system.quota, system.weights).price()
+    assert price.seconds > _mitm_price(4).seconds
+    monkeypatch.setattr(truthtable_module, "MAX_SECONDS", price.seconds)
     assert tbp_oracle_dp(system) == ref_swings(system)
-    monkeypatch.setattr(power_module, "MAX_DP_WORK", 11)
-    with pytest.raises(ValueError, match="MAX_DP_WORK"):
+    monkeypatch.setattr(truthtable_module, "MAX_SECONDS", price.seconds * 0.99)
+    with pytest.raises(ValueError, match="subset-sum counter priced at .* passes MAX_SECONDS"):
         tbp_oracle_dp(system)
-    assert analyze(system).oracle_verified  # over its cap, the counter sits the cross-check out
+    assert analyze(system).oracle_verified  # over its budget, the counter sits the cross-check out
     assert analyze(system).tbp == analyze(system, verify=False).tbp == ref_swings(system)
 
 
 def test_dp_work_cap_refuses_at_once():
-    # a legal table (31 MB) that would take minutes to fill
+    # a table within MAX_BYTES (31 MB) that would take minutes to fill
     weights = (3, 7) * 5000
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="MAX_DP_WORK"):
+    with pytest.raises(ValueError, match="subset-sum counter priced at .* passes MAX_SECONDS"):
         analyze(VotingSystem(sum(weights) // 2 + 1, weights))
     assert time.perf_counter() - start < 1.0
-    assert MAX_DP_WORK == 1 << 31
+    assert MAX_SECONDS == 1.0
+
+
+def test_default_cross_check_skips_a_table_priced_past_its_budget():
+    # tables of 30-33 MB, within MAX_BYTES, that took 1.5-2.3 s to fill: priced
+    # past MAX_SECONDS, so the default cross-check runs the other sources
+    for quota, weights in (
+        (30000001, (1,) + (10**7,) * 6),
+        (15000001, (1,) + (3 * 10**6,) * 11),
+        (33000000, tuple(10**7 + d for d in (1, 3, 7, 9, 11, 13, 17))),
+    ):
+        system = VotingSystem(quota, weights)
+        price = power_module._dp_size(quota, weights).price()
+        assert 30 * 10**6 <= price.nbytes <= MAX_BYTES
+        assert "subset-sum counter priced at" in price.refusal()
+        assert "passes MAX_SECONDS" in price.refusal()
+        start = time.perf_counter()
+        report = analyze(system)
+        assert time.perf_counter() - start < 0.1
+        assert report.oracle_verified
+        assert report.tbp == enum_tbp(system)
 
 
 def test_supermajority_past_the_caps_is_counted_on_its_dual():
     # the rule's own table, 45,451 sums x 126 bytes, would take 5.7 * 10**9
-    # byte operations to fill, past MAX_DP_WORK; its dual's quota is 5,050
+    # byte operations to fill, priced past MAX_SECONDS; its dual's quota is 5,050
     weights = tuple(1 + i % 100 for i in range(1000))
     quota = 9 * sum(weights) // 10 + 1
     assert quota == 45451
@@ -606,7 +628,7 @@ def test_verify_catches_a_reduction_that_drops_one_voter_too_many(monkeypatch):
 def test_light_voters_past_every_cap_are_dropped():
     # the 997 light voters sum to 10,443, under one bloc: only the three blocs
     # swing, and the counts need no table of 1,000 voters, which would be past
-    # MAX_DP_WORK, MAX_MITM_VOTERS and N_MAX
+    # MAX_SECONDS, MAX_BYTES and N_MAX
     weights = (10444,) * 3 + tuple(1 + i % 20 for i in range(997))
     system = VotingSystem(20888, weights)
     tracemalloc.start()
@@ -629,7 +651,7 @@ def test_light_voters_past_every_cap_are_dropped():
     [
         (tuple(random.Random(5010).choices(range(1, 1001), k=20)), "subset-sum"),
         (tuple(random.Random(5011).sample(range(10**6, 2 * 10**6), 24)), "meet-in-the-middle"),
-        # a table of 12e6 sums x 4 bytes is past MAX_DP_BYTES
+        # a table of 12e6 sums x 4 bytes is past MAX_BYTES
         (
             tuple(random.Random(5012).choices((10**6 - 1, 10**6, 10**6 + 1), k=24)),
             "meet-in-the-middle",
@@ -655,7 +677,7 @@ def planner_systems(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(planner_systems())
-@example(VotingSystem(10**12, (10**12, 3 * 10**11 + 7, 5)))  # a table past MAX_DP_BYTES
+@example(VotingSystem(10**12, (10**12, 3 * 10**11 + 7, 5)))  # a table past MAX_BYTES
 @example(VotingSystem(4, (0, 0, 0)))  # quota past the total, all weights zero
 @example(VotingSystem(9, (1, 2, 3)))  # quota past the total, weights not all zero
 def test_every_planned_source_gives_the_enumerated_report(system):
@@ -666,7 +688,7 @@ def test_every_planned_source_gives_the_enumerated_report(system):
         classes.setdefault(c, []).append(i)
     quota, weights = system.quota, system.weights
     sources = power_module._sources(system)
-    fits = quota > sum(weights) or power_module._dp_size(quota, weights).fits()
+    fits = quota > sum(weights) or not power_module._dp_size(quota, weights).price().refusal()
     assert set(sources) == {"meet-in-the-middle"} | ({"subset-sum"} if fits else set())
     for name, (_, count) in sources.items():
         assert power_module._essential(count()) == tbp, name
@@ -705,9 +727,10 @@ def test_planner_picks_the_least_full_estimate(system):
 
 
 def forced_route_corpus():
-    """60 seeded systems: zero weights, repeated weights, large weights, and
-    ten of 25-32 voters with small weights, where both sources fit and no
-    table checks them."""
+    """63 seeded systems: zero weights, repeated weights, large weights, and
+    thirteen of 25-35 voters with small weights, where both sources fit and
+    no table checks them.  At 36 voters meeting in the middle passes
+    MAX_BYTES."""
     rng = random.Random(3737)
     systems = []
     for k in range(50):
@@ -730,6 +753,9 @@ def forced_route_corpus():
     for n in (26, 31):  # a quota past two thirds
         weights = tuple(rng.choice((1, 2, 4)) for _ in range(n))
         systems.append(VotingSystem(2 * sum(weights) // 3 + 1, weights))
+    for n in (33, 34, 35):  # past the old 32-voter cap, within the budgets
+        weights = tuple(rng.randint(1, 10) for _ in range(n))
+        systems.append(VotingSystem(sum(weights) // 2 + 1, weights))
     return systems
 
 

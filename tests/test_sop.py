@@ -163,7 +163,8 @@ def test_sop_expr_refuses_bits_outside_its_variables():
     for n in (True, 2.5, "3", -1):
         with pytest.raises(ValueError, match="arity n must be a non-negative integer"):
             SopExpr(n, ())
-    for cubes in (((2.0, 0),), ((2, -4),), (cube({1}), (0, -2))):
+    # a negative mask is named as such, also when it clashes with its partner
+    for cubes in (((2.0, 0),), ((2, -4),), (cube({1}), (0, -2)), ((4, -4),), ((-1, -1),)):
         with pytest.raises(ValueError, match="cube masks must be non-negative integers"):
             SopExpr(3, cubes)
 
@@ -342,10 +343,13 @@ def test_ie_weight_without_clashes_visits_every_subset():
 
 
 def test_ie_weight_cube_cap():
-    cubes = tuple(cube({i}) for i in range(1, 22))
-    expr = SopExpr(21, cubes)
-    with pytest.raises(ValueError, match="limited"):
+    # priced at its worst case, 2**22 - 1 subsets: past MAX_SECONDS, refused
+    # before the pairwise clash tests
+    expr = SopExpr(22, tuple(cube({i}) for i in range(1, 23)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"inclusion-exclusion priced at .* passes MAX_SECONDS"):
         sop_weight_ie(expr)
+    assert time.perf_counter() - start < 0.1
 
 
 # -- conversions -------------------------------------------------------------------
