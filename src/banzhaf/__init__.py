@@ -30,7 +30,6 @@ from .power import (
 )
 from .sop import (
     MAX_DISJOINT_CUBES,
-    MAX_SOP_CUBES,
     SopExpr,
     SopSyntaxError,
     make_disjoint,
@@ -48,7 +47,6 @@ __all__ = [
     "MAX_BYTES",
     "MAX_DISJOINT_CUBES",
     "MAX_SECONDS",
-    "MAX_SOP_CUBES",
     "N_MAX",
     "NoDecisiveVoterError",
     "ORACLE_AUTO_LIMIT",

@@ -5,17 +5,16 @@ A cube (product term) is a pair of bit masks ``(pos, neg)`` with bit i for
 ones.  A conjunction is one OR per side, a contradiction is ``pos & neg`` and
 the literal count is ``(pos | neg).bit_count()``.  A :class:`SopExpr` is an
 ordered OR of cubes over variables ``1..n``, carrying a certificate flag that
-says whether the cubes are pairwise disjoint.  Disjointness is what makes
-weights add term-wise, so most of this module is about producing or
-exploiting it:
+says the cubes are pairwise disjoint; only :func:`make_disjoint` and
+:func:`tt_to_minterm_sop` set it.  Disjointness is what makes weights add
+term-wise, so most of this module is about producing or exploiting it:
 
-* :func:`make_disjoint` - sequential disjointing, shortest cubes first: each
-  cube is multiplied by the expanded complements of all cubes before it,
-  except that a piece which already clashes with a blocker is kept whole,
-  and a blocker that clashes with the cube itself is passed over for all of
-  its pieces.
-* :func:`sop_weight_disjoint` - sum of ``2**(n - literals)`` over a disjoint
-  cover.
+* :func:`make_disjoint` - the pairwise test, then, if it fails, sequential
+  disjointing, shortest cubes first: each cube is multiplied by the expanded
+  complements of all cubes before it, except that a piece which already
+  clashes with a blocker is kept whole, and a blocker that clashes with the
+  cube itself is passed over for all of its pieces.
+* :func:`sop_weight_disjoint` - sum of ``2**(n - literals)`` over a disjoint cover.
 * :func:`sop_weight_ie` - inclusion-exclusion over cube subsets; works on any
   SOP.  Each cube carries the bit set of later cubes it does not clash with,
   and the walk only ever extends a subset by cubes compatible with all of its
@@ -36,18 +35,18 @@ from typing import Sequence
 
 from .truthtable import N_MAX, Price, TruthTable, _exp2, _is_int, _var_zero_mask
 
-# Inclusion-exclusion takes 0.41-0.43 us per subset and 130 bytes per cube, the
-# SOP table 0.37-0.44 ns per byte operation at 24 variables (2-vCPU Xeon).
-_IE_S_PER_SUBSET, _IE_BYTES_PER_CUBE, _TABLE_S_PER_BYTE_OP = 0.43e-6, 130, 0.45e-9
+# Inclusion-exclusion takes 0.41-0.43 us per subset and 130 bytes per cube; a SOP table
+# operation 0.13 us, 0.08 ns per byte and 0.37 ns more per byte past 512 KiB (2-vCPU Xeon).
+_IE_S_PER_SUBSET, _IE_BYTES_PER_CUBE = 0.43e-6, 130
+_TABLE_S_PER_OP, _TABLE_S_PER_BYTE, _TABLE_S_PER_FAR_BYTE = 0.13e-6, 0.08e-9, 0.37e-9
+# The pairwise test takes 39-68 ns per cube pair, sequential disjointing 85-147 ns per
+# blocker passed over and 8 bytes per cube to sort (512-4,096 minterms, 2-vCPU Xeon).
+_CERT_S_PER_PAIR, _PASS_S_PER_BLOCKER = 55e-9, 110e-9
 
 #: Sequential disjointing can double the cube count with every input cube
 #: (``a0 a1 | a2 a3 | ..`` with m cubes gives 2**m - 1), and a minterm form
 #: has one cube per true row; refuse to hold more.
 MAX_DISJOINT_CUBES = 1 << 16
-
-#: Certifying a parsed expression disjoint tests every pair of its cubes;
-#: 2**12 cubes take about 0.6 s, so refuse more.
-MAX_SOP_CUBES = 1 << 12
 
 
 class SopSyntaxError(ValueError):
@@ -60,11 +59,11 @@ class SopSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class SopExpr:
-    """Ordered OR of ``(pos, neg)`` cubes over variables ``1..n`` with a disjointness flag."""
+    """Ordered OR of ``(pos, neg)`` cubes over ``1..n`` with a disjointness certificate."""
 
     n: int
     cubes: tuple[tuple[int, int], ...]
-    disjoint: bool = field(default=False)
+    disjoint: bool = field(default=False, init=False)  # no caller can set it
 
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 0):
@@ -88,25 +87,19 @@ class SopExpr:
             i = (outside & -outside).bit_length() - 1
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
 
-    @classmethod
-    def from_cubes(cls, n: int, cubes: Sequence[tuple[int, int]]) -> "SopExpr":
-        """Build an expression, computing the disjointness certificate.
-
-        Raises ``ValueError`` past :data:`MAX_SOP_CUBES` cubes, before the
-        pairwise test.
-        """
-        if len(cubes) > MAX_SOP_CUBES:
-            raise ValueError(f"{len(cubes)} cubes pass MAX_SOP_CUBES = {MAX_SOP_CUBES}")
-        expr = cls(n, cubes)
-        object.__setattr__(expr, "disjoint", expr.verify_disjoint())
-        return expr
-
     def verify_disjoint(self) -> bool:
         """Pairwise check that every two cubes clash on some variable."""
         for (ap, aq), (bp, bq) in combinations(self.cubes, 2):
             if not (ap & bq or aq & bp):
                 return False
         return True
+
+
+def _certified(n: int, cubes: tuple[tuple[int, int], ...]) -> SopExpr:
+    """An expression over cubes known to be pairwise disjoint, certified so."""
+    expr = SopExpr(n, cubes)
+    object.__setattr__(expr, "disjoint", True)
+    return expr
 
 
 # -- parsing and printing --------------------------------------------------
@@ -155,7 +148,7 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
     n = len(index)
     whole = text.strip()
     if whole in ("0", "1"):  # a constant, as format_sop prints it
-        return SopExpr(n, ((0, 0),) * int(whole), disjoint=True)
+        return SopExpr(n, ((0, 0),) * int(whole))
 
     cubes: list[tuple[int, int]] = []
     pos = neg = 0
@@ -203,7 +196,7 @@ def parse_sop(text: str, names: Sequence[str]) -> SopExpr:
         cubes.append((pos, neg))
     elif cubes:
         raise SopSyntaxError("trailing '|' without a term", len(text))
-    return SopExpr.from_cubes(n, cubes)
+    return SopExpr(n, cubes)
 
 
 def format_sop(expr: SopExpr, names: Sequence[str]) -> str:
@@ -226,11 +219,12 @@ def format_sop(expr: SopExpr, names: Sequence[str]) -> str:
 
 
 def make_disjoint(expr: SopExpr) -> SopExpr:
-    """Rewrite an SOP as an equivalent disjoint one by sequential disjointing.
+    """Certify an SOP disjoint: pairwise disjoint cubes as they are, in their
+    order (:meth:`SopExpr.verify_disjoint`), others by sequential disjointing.
 
-    The cubes are stable-sorted by literal count, since a short blocker cuts
-    few pieces, and the k-th is replaced by its products with the expanded
-    complements of cubes 1..k-1.  The complement of a blocker's literals
+    Sequential disjointing stable-sorts the cubes by literal count, since a
+    short blocker cuts few pieces, and replaces the k-th by its products with
+    the expanded complements of cubes 1..k-1.  The complement of a blocker's literals
     that a piece lacks, ``l1 l2 .. lk`` in variable order, is the disjoint
     OR of ``~l1``, ``l1 ~l2``, ..., ``l1 .. l(k-1) ~lk``; a piece that holds
     them all implies the blocker and yields nothing.  A piece that already
@@ -238,13 +232,18 @@ def make_disjoint(expr: SopExpr) -> SopExpr:
     the blocker's literals before the clash, so later blockers multiply one
     piece instead of several.  Pieces only gain literals, so a blocker that
     clashes with the cube itself clashes with all of its pieces and is
-    passed over without looking at them.
-    Already-disjoint input (including any single cube) is returned
-    unchanged.  Raises ``ValueError`` as soon as the cubes produced would
-    exceed :data:`MAX_DISJOINT_CUBES`, checked after every blocker.
+    passed over without looking at them.  Each step is priced before it runs,
+    at ``m(m-1)/2`` clash tests for m cubes and then as many blockers passed
+    over, and past a budget raises ``ValueError`` at once; so does the pass
+    when its cubes would exceed :data:`MAX_DISJOINT_CUBES`, after any blocker.
     """
     if expr.disjoint:
         return expr
+    m = len(expr.cubes)
+    Price("disjointness certificate", _CERT_S_PER_PAIR * m * (m - 1) / 2, 0).check()
+    if expr.verify_disjoint():
+        return _certified(expr.n, expr.cubes)
+    Price("sequential disjointing", _PASS_S_PER_BLOCKER * m * (m - 1) / 2, 8 * m).check()
     cubes = sorted(expr.cubes, key=lambda cube: (cube[0] | cube[1]).bit_count())
     out: list[tuple[int, int]] = []
     for k, cube in enumerate(cubes):
@@ -276,7 +275,7 @@ def make_disjoint(expr: SopExpr) -> SopExpr:
                     f"MAX_DISJOINT_CUBES = {MAX_DISJOINT_CUBES} cubes"
                 )
         out.extend(fragments)
-    return SopExpr(expr.n, tuple(out), disjoint=True)
+    return _certified(expr.n, tuple(out))
 
 
 # -- weight computation ------------------------------------------------------
@@ -339,17 +338,19 @@ def sop_weight_ie(expr: SopExpr) -> int:
 def sop_to_tt(expr: SopExpr) -> TruthTable:
     """Dense truth table of an SOP (any overlap allowed).
 
-    Each cube is ANDed from the shared X_i = 0 row masks of
-    ``truthtable``, so no table is built per literal or per variable: a
-    complemented literal keeps the rows in its mask, an uncomplemented one
-    drops them: ``literals + 1`` operations on ``2**n / 8`` bytes per cube,
-    its price, so past a budget it raises ``ValueError`` at once.
+    Each cube is ANDed from the shared X_i = 0 row masks of ``truthtable``, so
+    no table is built per literal or per variable: a complemented literal keeps
+    the rows in its mask, an uncomplemented one drops them.  That is ``literals
+    + 1`` operations on ``2**n / 8`` bytes per cube, priced at a fixed cost and a
+    cost per byte that rises past 512 KiB; past a budget it raises ``ValueError``.
     """
     n = expr.n
     if n > N_MAX:
         raise ValueError(f"arity {n} exceeds dense-table limit {N_MAX}")
-    ops = sum((p | q).bit_count() + 1 for p, q in expr.cubes) << n >> 3
-    Price("SOP table", _TABLE_S_PER_BYTE_OP * ops, (1 << n) / 8).check()
+    size = (1 << n) / 8
+    op = _TABLE_S_PER_OP + _TABLE_S_PER_BYTE * size + _TABLE_S_PER_FAR_BYTE * max(0, size - 2**19)
+    ops = sum((p | q).bit_count() + 1 for p, q in expr.cubes)
+    Price("SOP table", op * ops, size).check()
     used = 0
     for p, q in expr.cubes:
         used |= p | q
@@ -390,4 +391,4 @@ def tt_to_minterm_sop(table: TruthTable) -> SopExpr:
         j = low.bit_length() - 1
         pos = sum(1 << i for i in range(1, n + 1) if (j >> (n - i)) & 1)
         cubes.append((pos, every ^ pos))
-    return SopExpr(n, tuple(cubes), disjoint=True)
+    return _certified(n, tuple(cubes))

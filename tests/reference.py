@@ -3,8 +3,8 @@
 `enum_swing_counts` walks all 2**n vote configurations: the definition the
 package's count routes are tested against, pure threshold arithmetic on
 weighted sums.  Its cost doubles per voter, so tests use it up to about 12
-voters.  `table_of`, `lift`, `count_table` and `scaled` build test inputs
-row by row or from a system's fields.
+voters.  `table_of`, `lift`, `count_table`, `rule_tables` and `scaled` build
+test inputs row by row or from a system's fields.
 
 `disjoint_cover` and `ie_weight` are the plain forms of the package's SOP
 kernels on ``(pos, neg)`` cube masks: sequential disjointing that expands
@@ -42,6 +42,19 @@ def count_table(n, placement, charset):
     return table_of(
         [int(sum((j >> (n - i)) & 1 for i in placement) in charset) for j in range(1 << n)]
     )
+
+
+def rule_tables(weights, quotas):
+    """The table of the rule ``(q; weights)`` for each q in `quotas`, as
+    ``(q, table)`` pairs, row by row: row j is 1 when the voters X_i with bit
+    n - i of j set weigh at least q."""
+    n = len(weights)
+    sums = [0] * (1 << n)
+    for j in range(1, 1 << n):
+        low = j & -j
+        sums[j] = sums[j ^ low] + weights[n - low.bit_length()]
+    for q in quotas:
+        yield q, table_of([int(s >= q) for s in sums])
 
 
 def scaled(system, c):

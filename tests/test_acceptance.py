@@ -228,3 +228,22 @@ def test_criterion_10_scale_invariance():
         other = analyze(scaled(system, factor))
         assert base == other
         assert repr(base).encode() == repr(other).encode()
+
+
+@criterion(11, "UN Security Council (39; 7 x 5, 1 x 10): published counts 848 and 84")
+def test_criterion_11_security_council():
+    # five permanent members of weight 7 and ten elected of weight 1
+    report = analyze(VotingSystem(39, (7,) * 5 + (1,) * 10), verify=True)
+    assert report.oracle_verified
+    assert report.tbp == (848,) * 5 + (84,) * 10
+    assert report.ntbp == (Fraction(106, 635),) * 5 + (Fraction(21, 1270),) * 10
+    assert report.dummies == frozenset()
+
+
+@criterion(12, "1964 Nassau County board (58; 31, 31, 28, 21, 2, 2): three dummies")
+def test_criterion_12_nassau_county():
+    # Banzhaf, Rutgers Law Review 19 (1965): the three smallest towns have no power
+    report = analyze(VotingSystem(58, (31, 31, 28, 21, 2, 2)), verify=True)
+    assert report.oracle_verified
+    assert report.tbp == (2, 2, 2, 0, 0, 0)
+    assert report.dummies == frozenset({4, 5, 6})

@@ -18,6 +18,7 @@ import banzhaf
 from banzhaf import cli
 from banzhaf import parse_sop, sop_names, sop_to_tt
 from banzhaf.cli import main
+from test_sop import minterm_sop
 
 SRC = str(Path(banzhaf.__file__).resolve().parent.parent)
 
@@ -412,12 +413,29 @@ def test_weight_disjoint_cube_cap(capsys):
 
 
 def test_weight_sop_cube_cap(capsys):
-    text = " | ".join(
-        " ".join(f"a{k}" if row >> k & 1 else f"a{k}'" for k in range(13)) for row in range(4097)
-    )
+    # no cube cap at parse: 4,097 cubes read back; --method all is refused by
+    # inclusion-exclusion's price, past MAX_SECONDS at 2**4097 - 1 subsets
+    text, _ = minterm_sop(13, 4097)
+    assert run_cli(capsys, "weight", text, "--method", "table") == (0, "4097\n", "")
     code, out, err = run_cli(capsys, "weight", text)
     assert code == 2 and out == ""
-    assert "MAX_SOP_CUBES" in err
+    assert "inclusion-exclusion priced at" in err and "MAX_SECONDS" in err
+
+
+def test_weight_reads_back_a_long_minterm_form(capsys):
+    # 6,435 minterms, about 400 KB of text: past the 128 KB limit on one
+    # command-line argument, so this runs in process only
+    code, out, _ = run_cli(
+        capsys, "derivative", "--quota", "9", "--weights", ",".join(["1"] * 16), "--voter", "X1"
+    )
+    head, text = out.splitlines()
+    assert code == 0 and head == "voter X1: weight 6435" and text.count("|") == 6434
+    assert run_cli(capsys, "weight", text, "--method", "table") == (0, "6435\n", "")
+
+
+def test_weight_disjoint_certifies_4096_minterms(capsys):
+    text, _ = minterm_sop(12, 4096)
+    assert run_cli(capsys, "weight", text, "--method", "disjoint") == (0, "4096\n", "")
 
 
 def test_weight_method_disagreement_exit_code(capsys, monkeypatch):
@@ -515,6 +533,10 @@ def budget_corners():
     table_text = big_sop()
     ie = banzhaf.SopExpr(24, tuple((1 << i, 0) for i in range(1, 25)))
     ie_text = " | ".join(f"a{i}" for i in range(24))
+    # 20,000 minterms: 2.0e8 cube pairs; 5,000 cubes that overlap: the pairwise
+    # test stops at once, and sequential disjointing is priced at 1.25e7 blockers
+    certificate_text, _ = minterm_sop(15, 20000)
+    pass_text = big_sop(2, 5000)
 
     def system_args(system):
         weights = ",".join(map(str, system.weights))
@@ -533,14 +555,26 @@ def budget_corners():
             "inclusion-exclusion",
             [["weight", ie_text, "--method", "ie"]],
         ),
+        (
+            lambda expr=parse_sop(certificate_text, sop_names(certificate_text)): (
+                banzhaf.make_disjoint(expr)
+            ),
+            "disjointness certificate",
+            [["weight", certificate_text, "--method", "disjoint"]],
+        ),
+        (
+            lambda expr=parse_sop(pass_text, sop_names(pass_text)): banzhaf.make_disjoint(expr),
+            "sequential disjointing",
+            [["weight", pass_text, "--method", "disjoint"]],
+        ),
     ]
 
 
-def big_sop(seed=1):
-    """4,096 cubes of 3-6 literals, a quarter complemented, on 24 variables a..x."""
+def big_sop(seed=1, m=4096):
+    """m cubes of 3-6 literals, a quarter complemented, on 24 variables a..x."""
     rng = random.Random(seed)
     names = "abcdefghijklmnopqrstuvwx"
-    cubes = (rng.sample(names, rng.randint(3, 6)) for _ in range(4096))
+    cubes = (rng.sample(names, rng.randint(3, 6)) for _ in range(m))
     return " | ".join(
         " ".join(v + ("'" if rng.random() < 0.25 else "") for v in cube) for cube in cubes
     )

@@ -10,7 +10,9 @@ import random
 import time
 import tracemalloc
 from bisect import bisect_left
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 from math import comb, gcd
 from unittest import mock
 
@@ -41,7 +43,7 @@ from banzhaf.power import (
 import banzhaf.truthtable as truthtable_module
 from banzhaf.truthtable import MAX_BYTES, MAX_SECONDS, N_MAX
 from banzhaf.voting import Diagram
-from reference import count_table, enum_swing_counts, enum_tbp, scaled
+from reference import count_table, enum_swing_counts, enum_tbp, rule_tables, scaled
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
 EEEC = VotingSystem(
@@ -778,6 +780,52 @@ def test_each_forced_source_gives_the_same_report():
                 assert analyze(system, verify=False) == report, (system, name)
             forced[name] += 1
     assert min(forced.values()) >= 40
+
+
+def every_weighted_rule(n, top):
+    """One system for each weighted rule on n voters with weights in 0..top.
+
+    Nonincreasing weight vectors and every quota from 1 to the total plus one
+    give the rules up to voter order, told apart by their tables; each
+    representative's voters are then permuted and the tables told apart again.
+    """
+    representatives = {}
+    for weights in combinations_with_replacement(range(top, -1, -1), n):
+        for quota, table in rule_tables(weights, range(1, sum(weights) + 2)):
+            representatives.setdefault(table, (quota, weights))
+    rules = {}
+    for quota, weights in representatives.values():
+        for order in set(permutations(weights)):
+            ((_, table),) = rule_tables(order, (quota,))
+            rules.setdefault(table, VotingSystem(quota, order))
+    return list(rules.values())
+
+
+def test_every_weighted_rule_on_up_to_five_voters():
+    # the positive threshold functions less the constant 1, which no quota
+    # >= 1 gives: one below OEIS A000617 at each n
+    make = power_module._sources
+    start = time.perf_counter()
+    for n, top, count in zip(range(1, 6), (3, 3, 4, 6, 9), (2, 5, 19, 149, 3286)):
+        systems = every_weighted_rule(n, top)
+        assert len(systems) == count
+        for system in systems:
+            report = analyze(system, verify=True)
+            assert report.oracle_verified, system
+            report = replace(report, oracle_verified=False)
+            reduced, _ = power_module._essential_rule(system)
+            for name in make(reduced):
+
+                def only(system, name=name):
+                    return {name: make(system)[name]}
+
+                with mock.patch.object(power_module, "_sources", only):
+                    assert analyze(system, verify=False) == report, (system, name)
+            total = system.total_weight
+            if system.quota <= total:  # the dual of constant 0 is constant 1
+                dual = VotingSystem(total - system.quota + 1, system.weights)
+                assert analyze(dual, verify=False).tbp == report.tbp, system
+    assert time.perf_counter() - start < 5
 
 
 def test_analyze_of_28_voters_near_10_to_the_12_is_fast():

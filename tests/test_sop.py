@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from banzhaf import (
     MAX_DISJOINT_CUBES,
-    MAX_SOP_CUBES,
     SopExpr,
     SopSyntaxError,
     TruthTable,
@@ -92,7 +91,7 @@ def test_parse_constant_texts():
     # the whole text 0 or 1, as format_sop prints a constant
     assert parse_sop(" 0 ", XYZ).cubes == ()
     assert sop_to_tt(parse_sop("1", XYZ)) == count_table(3, (), {0})
-    assert parse_sop("1", []).disjoint
+    assert make_disjoint(parse_sop("1", [])).disjoint
     for text in ("1 | X1", "X1 0", "10", "0 | 1"):
         with pytest.raises(SopSyntaxError, match="unexpected character"):
             parse_sop(text, XYZ)
@@ -154,7 +153,7 @@ def test_sop_expr_refuses_bits_outside_its_variables():
     with pytest.raises(ValueError, match=r"variable index 4 out of range 1\.\.3"):
         SopExpr(3, (cube({1}, {4}),))
     with pytest.raises(ValueError, match=r"variable index 4 out of range 1\.\.3"):
-        SopExpr.from_cubes(3, (cube({2}), cube({4})))
+        SopExpr(3, (cube({2}), cube({4})))
     # a clash anywhere is refused, also in a cube past an in-range one
     with pytest.raises(ValueError, match=r"contradictory literals for variable\(s\) \[2, 3\]"):
         SopExpr(3, (cube({1}), cube({2, 3}, {2, 3})))
@@ -172,16 +171,64 @@ def test_sop_expr_refuses_bits_outside_its_variables():
 def test_cube_weight_examples():
     # one cube covers 2**(n - literals) rows
     for n, c, weight in [(3, cube({1, 2}), 2), (4, cube(), 16), (3, cube({1, 3}, {2}), 1)]:
-        assert sop_weight_disjoint(SopExpr(n, (c,), disjoint=True)) == weight
+        assert sop_weight_disjoint(make_disjoint(SopExpr(n, (c,)))) == weight
     with pytest.raises(ValueError):
         SopExpr(2, (cube({1, 2}, {3}),))
 
 
 def test_certificate_is_computed_and_sound():
-    expr = SopExpr.from_cubes(2, (cube({1}), cube((), {1})))
-    assert expr.disjoint and expr.verify_disjoint()
-    overlapping = SopExpr.from_cubes(2, (cube({1}), cube({2})))
-    assert not overlapping.disjoint
+    # a new expression is uncertified; make_disjoint grants the certificate
+    expr = SopExpr(2, (cube({1}), cube((), {1})))
+    assert not expr.disjoint and expr.verify_disjoint()
+    assert make_disjoint(expr).disjoint
+    overlapping = SopExpr(2, (cube({1}), cube({2})))
+    assert not overlapping.disjoint and not overlapping.verify_disjoint()
+    assert make_disjoint(overlapping).cubes != overlapping.cubes
+
+
+def test_certificate_cannot_be_forged():
+    # X1 | X2 has weight 3; a caller-set certificate would let its cube weights add to 4
+    with pytest.raises(TypeError):
+        SopExpr(2, (cube({1}), cube({2})), disjoint=True)
+    expr = SopExpr(2, (cube({1}), cube({2})))
+    assert sop_weight_disjoint(make_disjoint(expr)) == 3 == sop_to_tt(expr).weight()
+
+
+def test_make_disjoint_certifies_disjoint_cubes_in_their_order():
+    # longest cube first: the sequential pass would sort these
+    cubes = (cube({1, 2, 3}), cube({1}, {2}), cube((), {1}))
+    got = make_disjoint(SopExpr(3, cubes))
+    assert got.disjoint and got.cubes == cubes
+    assert make_disjoint(got) is got
+    rng = random.Random(2007)
+    checked = 0
+    for _ in range(300):
+        expr = random_sop(rng)
+        if expr.verify_disjoint():
+            checked += 1
+            assert make_disjoint(expr).cubes == expr.cubes
+    assert checked > 20
+
+
+def test_certificate_runs_only_in_make_disjoint(monkeypatch):
+    import banzhaf.cli as cli_module
+
+    calls = []
+    real = SopExpr.verify_disjoint
+
+    def spy(self):
+        calls.append(len(self.cubes))
+        return real(self)
+
+    monkeypatch.setattr(SopExpr, "verify_disjoint", spy)
+    text = "X1 X2 | X1' X3 | X1 X2' X3'"
+    expr = parse_sop(text, XYZ)
+    for method in ("table", "ie"):
+        assert cli_module.main(["weight", text, "--method", method]) == 0
+    sop_to_tt(expr)
+    sop_weight_ie(expr)
+    assert calls == []
+    assert make_disjoint(expr).disjoint and calls == [3]
 
 
 # -- disjointing ----------------------------------------------------------------
@@ -208,7 +255,9 @@ def test_make_disjoint_keeps_clashing_cube_whole():
 
 def test_make_disjoint_keeps_single_cube():
     expr = parse_sop("X1 X2", XYZ)
-    assert make_disjoint(expr) is expr  # already certified disjoint
+    got = make_disjoint(expr)  # one cube is disjoint by the pairwise test at once
+    assert got.disjoint and got.cubes == expr.cubes
+    assert make_disjoint(got) is got  # already certified
 
 
 def test_make_disjoint_preserves_semantics():
@@ -246,8 +295,6 @@ def test_make_disjoint_cap_counts_after_blockers_it_passes_over(monkeypatch):
     refused = 0
     for _ in range(300):
         expr = random_sop(rng)
-        if expr.disjoint:  # returned as it is, never counted
-            continue
         cap = rng.randint(1, 8)
         monkeypatch.setattr(sop_module, "MAX_DISJOINT_CUBES", cap)
         try:
@@ -272,16 +319,14 @@ def minterm_sop(n, m):
 
 
 def test_parse_sop_cube_cap(monkeypatch):
-    assert MAX_SOP_CUBES == 4096
-    expr = parse_sop(*minterm_sop(12, MAX_SOP_CUBES))  # all 4096 rows, pairwise disjoint
-    assert expr.disjoint and len(expr.cubes) == MAX_SOP_CUBES
-
+    # parsing has no cube cap and runs no pairwise test: that is make_disjoint's
     def pairwise_test(self):
-        raise AssertionError("the pairwise test ran past the cap")
+        raise AssertionError("the pairwise test ran at parse")
 
     monkeypatch.setattr(SopExpr, "verify_disjoint", pairwise_test)
-    with pytest.raises(ValueError, match="4097 cubes pass MAX_SOP_CUBES = 4096"):
-        parse_sop(*minterm_sop(13, MAX_SOP_CUBES + 1))
+    for n, m in ((12, 4096), (13, 4097), (15, 6435)):
+        expr = parse_sop(*minterm_sop(n, m))
+        assert not expr.disjoint and len(expr.cubes) == m
 
 
 def test_make_disjoint_on_six_variable_system_matches_table_weight():
@@ -300,7 +345,7 @@ def test_disjoint_weight_of_textbook_cover():
 
 
 def test_disjoint_weight_of_empty_sop_is_zero():
-    assert sop_weight_disjoint(parse_sop("", XYZ)) == 0
+    assert sop_weight_disjoint(make_disjoint(parse_sop("", XYZ))) == 0
 
 
 def test_disjoint_weight_requires_certificate():
@@ -312,8 +357,9 @@ def test_disjoint_weight_of_five_term_xor_factor():
     # five pairwise-disjoint products over B,N,D,E,L; frozen brute-force value 11
     text = "B N L | B N E L' | B N D E' L' | B' N D E | B D E N'"
     expr = parse_sop(text, ["B", "N", "D", "E", "L"])
-    assert expr.disjoint  # certified on construction
-    assert sop_weight_disjoint(expr) == 4 + 2 + 1 + 2 + 2 == sop_to_tt(expr).weight()
+    cover = make_disjoint(expr)
+    assert cover.cubes == expr.cubes  # certified as it is, in its order
+    assert sop_weight_disjoint(cover) == 4 + 2 + 1 + 2 + 2 == sop_to_tt(expr).weight()
 
 
 def test_ie_weight_of_two_of_three():
@@ -382,6 +428,19 @@ def test_minterm_form_cube_cap(monkeypatch):
         tt_to_minterm_sop(table_of([0, 1, 1, 1, 0, 1, 0, 1]))
 
 
+def test_sop_table_price_rises_past_512_kib():
+    # 4,096 seeded cubes of 3-6 literals on 20 variables, a 128 KiB table: priced
+    # at about 0.24 s, so they run (the 24-variable budget corner is refused)
+    rng = random.Random(2008)
+    cubes = []
+    for _ in range(4096):
+        chosen = rng.sample(range(1, 21), rng.randint(3, 6))
+        pos = frozenset(v for v in chosen if rng.random() < 0.75)
+        cubes.append(cube(pos, frozenset(chosen) - pos))
+    table = sop_to_tt(SopExpr(20, tuple(cubes)))
+    assert table.row(sum(1 << (20 - i) for i in indices(cubes[0][0]))) == 1
+
+
 def test_sop_to_tt_rows_after_a_wider_table():
     # a 12-variable table first widens the shared row masks past 2**3 bits
     assert sop_to_tt(parse_sop("a0 a11'", [f"a{k}" for k in range(12)])).weight() == 2**10
@@ -410,7 +469,7 @@ def random_sop(rng, max_n=10, max_cubes=8):
         chosen = rng.sample(range(1, n + 1), count)
         pos = frozenset(v for v in chosen if rng.random() < 0.6)
         cubes.append(cube(pos, frozenset(chosen) - pos))
-    return SopExpr.from_cubes(n, tuple(cubes))
+    return SopExpr(n, tuple(cubes))
 
 
 def test_weight_methods_agree_on_random_sops():
@@ -441,7 +500,7 @@ def sops(draw, max_n=8, max_cubes=10, empty_cube=False):
         )
         for k in picks
     ]
-    return SopExpr.from_cubes(n, cubes)
+    return SopExpr(n, cubes)
 
 
 @settings(max_examples=300, deadline=None)
