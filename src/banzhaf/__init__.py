@@ -5,8 +5,8 @@ function and computes each voter's total and normalized Banzhaf power from
 the weight of the function's Boolean difference.  A planner counts each
 system with the cheaper of two exact sources within one time budget and one
 memory budget: meeting in the middle, or subset-sum counting.  The
-cross-check runs each one within them, counts the decision diagram per node,
-and compares them all with the dense truth table's counts.  Dense truth
+cross-check runs each one within them and compares their counts with the
+Boolean-difference weights on the dense truth table.  Dense truth
 tables and a sum-of-products algebra with sequential disjointing are exposed
 as a library; the ``banzhaf`` command wraps it for the command line.
 

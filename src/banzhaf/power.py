@@ -14,9 +14,9 @@ total weight (dualization, ``f^d(x) = not f(not x)``, keeps every
 Boolean-difference weight).  Each is priced in O(n) before it runs
 (:class:`~banzhaf.truthtable.Price`), the cheaper within
 :data:`~banzhaf.truthtable.MAX_SECONDS` and :data:`~banzhaf.truthtable.MAX_BYTES`
-runs, and the cross-check runs both within them, counts the rule's decision
-diagram per node, takes the weights on the dense truth table
-(:func:`tbp_all`), one derivative per class, and fails on any disagreement.
+runs, and the cross-check runs both within them, takes the weights on the
+dense truth table (:func:`tbp_all`), one derivative per class, and fails on
+any disagreement.
 
 Swing-counting convention: each dummy voter doubles every raw swing count,
 because an irrelevant vote can always be flipped without changing the
@@ -40,7 +40,7 @@ from struct import iter_unpack
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .truthtable import N_MAX, Price, TruthTable, _exp2
-from .voting import Diagram, VotingSystem
+from .voting import VotingSystem
 
 #: analyze() runs the oracle cross-check by default up to this arity.
 ORACLE_AUTO_LIMIT = 12
@@ -91,7 +91,7 @@ class PowerReport:
     oracle_verified: bool
 
 
-# -- Boolean-difference weights, per table and per diagram node -----------------
+# -- Boolean-difference weights on the dense table ------------------------------
 
 
 def _essential(raw: Sequence[int]) -> tuple[int, ...]:
@@ -129,38 +129,6 @@ def tbp_all(
     for group in groups:
         raw.update(dict.fromkeys(group, table.difference_weight(group[0])))
     return _essential([raw[i] for i in range(1, n + 1)])
-
-
-def _dd_swing_counts(diagram: Diagram) -> tuple[int, ...]:
-    """Raw per-voter swing counts, read off the rule's decision diagram.
-
-    The paper's two operations, taken per node instead of per table: at a
-    level-i node the Boolean difference with respect to voter i + 1 is true
-    where the yes child is true and the no child false (the rule is
-    monotone), so its weight there is models(yes) - models(no), once for
-    every path from the root into the node.  Models are counted bottom-up
-    and paths top-down, one pass each.
-    """
-    n, nos, yeses = diagram.n, diagram.no, diagram.yes
-    models = [0, 1]  # ZERO and ONE on level n, where no vote is left
-    gains = []  # per level from the bottom: models(yes) - models(no) per inner node
-    for i in range(n - 1, -1, -1):
-        pairs = list(zip(nos[i], yeses[i]))
-        gains.append([models[yes] - models[no] for no, yes in pairs])
-        models = [0, 1 << (n - i)] + [models[no] + models[yes] for no, yes in pairs]
-    gains.reverse()
-    paths = [0, 0, 1]  # into level 0: none into the constants, one into the root
-    counts = []
-    for i in range(n):
-        below = [0] * (2 + (len(nos[i + 1]) if i + 1 < n else 0))
-        count = 0
-        for p, gain, no, yes in zip(paths[2:], gains[i], nos[i], yeses[i]):
-            count += p * gain
-            below[no] += p
-            below[yes] += p
-        counts.append(count)
-        paths = below
-    return tuple(counts)
 
 
 def normalize(tbp_values: Sequence[int]) -> tuple[Fraction, ...]:
@@ -212,7 +180,7 @@ def _mitm_swing_counts(quota: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     is the sum, over the subset sums ``a`` of the rest of its half, of
     ``losing(a) - losing(a + w)``: ``losing(a)`` counts the other half's
     subset sums below ``quota - a``, one bisect per subset of a half.  Pure
-    threshold arithmetic; it shares nothing with the diagram, table or DP.
+    threshold arithmetic; it shares nothing with the table or the DP.
     Raises ``ValueError`` past a budget (:func:`_mitm_price`), before allocating.
     """
     n = len(weights)
@@ -493,11 +461,11 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
     Zwicker, *Simple Games*, 1999).  The rule is monotone, and causal unless
     the quota exceeds the total weight, when it is constant.  By default up
     to :data:`ORACLE_AUTO_LIMIT` voters (`verify` overrides this either way)
-    every source within both budgets runs, and so do the counts per node of
-    the whole system's decision diagram; all must equal the weights on the
-    table folded from that diagram (:func:`tbp_all`), which also checks the
-    reduction, the classes, the dummies and the findings.  ``verify=True``
-    beyond :data:`~banzhaf.truthtable.N_MAX` voters raises ``ValueError``.
+    every source within both budgets runs on the reduced rule, and their
+    counts, which are reported, must all equal the weights on the whole
+    system's table (:func:`tbp_all`), which also checks the reduction, the
+    classes, the dummies and the findings.  ``verify=True`` beyond
+    :data:`~banzhaf.truthtable.N_MAX` voters raises ``ValueError``.
     """
     n = system.n
     if verify is None:
@@ -520,12 +488,9 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
             tbp[i] = c
         return tuple(tbp)
 
-    if verify:  # so n <= N_MAX: the diagram and meeting in the middle fit
-        # the diagram counts the whole system, and the table folds from it,
-        # so the table checks the reduction too
-        diagram = system.diagram()
+    if verify:  # so n <= N_MAX: meeting in the middle fits
         counts = {name: spread(count()) for name, (_, count) in sources.items()}
-        counts["diagram"] = tbp_vec = _essential(_dd_swing_counts(diagram))
+        tbp_vec = next(iter(counts.values()))
     else:  # the first source of least estimate
         _, count = min(sources.values(), key=itemgetter(0))
         tbp_vec = spread(count())
@@ -539,8 +504,9 @@ def analyze(system: VotingSystem, verify: Optional[bool] = None) -> PowerReport:
         # sources must equal those weights, and a voter's weight is zero
         # exactly when the table is vacuous in it, so that equality checks
         # the dummies too.  Symmetric voters have equal weights, so they share
-        # a class, and the classes are the table's symmetry classes.
-        table = diagram.to_table()
+        # a class, and the classes are the table's symmetry classes.  The
+        # table is the whole system's, so it checks the reduction too.
+        table = system.to_table()
         counts["table"] = tbp_all(table, classes)
         if not (
             len(set(counts.values())) == 1

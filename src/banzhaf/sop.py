@@ -372,10 +372,13 @@ def sop_to_tt(expr: SopExpr) -> TruthTable:
 
 
 def tt_to_minterm_sop(table: TruthTable) -> SopExpr:
-    """Minterm canonical form: one full-length cube per true row.
+    """Minterm canonical form: one full-length cube per true row, in row order.
 
     Disjoint by construction, so the certificate is set without the pairwise
-    check.  Raises ``ValueError`` past :data:`MAX_DISJOINT_CUBES` true rows.
+    check.  The true rows are found in one scan of the table's binary digits,
+    so the time is that scan plus O(n) per true row, and
+    :data:`MAX_DISJOINT_CUBES`, checked first with a popcount, bounds it as
+    well as the output.  Raises ``ValueError`` past that many true rows.
     """
     n = table.n
     if table.weight() > MAX_DISJOINT_CUBES:
@@ -384,11 +387,8 @@ def tt_to_minterm_sop(table: TruthTable) -> SopExpr:
         )
     every = ((1 << n) - 1) << 1
     cubes = []
-    bits = table.bits
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        j = low.bit_length() - 1
+    for row in re.finditer("1", format(table.bits, "b")[::-1]):  # row j is digit j
+        j = row.start()
         pos = sum(1 << i for i in range(1, n + 1) if (j >> (n - i)) & 1)
         cubes.append((pos, every ^ pos))
     return _certified(n, tuple(cubes))

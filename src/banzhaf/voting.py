@@ -1,12 +1,12 @@
-"""Weighted yes-no voting systems, their decision diagrams and dense tables.
+"""Weighted yes-no voting systems and their dense truth tables.
 
 A system is a quota plus one non-negative integer weight per voter: a bill
 passes when the yes-voters' weights sum to the quota or beyond.  The rule is
 therefore a threshold switching function, pinned down by ``n + 1`` integers
 instead of ``2**n`` table entries, and scale-invariant: multiplying quota and
-weights by the same positive constant changes nothing.  Its decision diagram
-(:meth:`VotingSystem.diagram`) stores each rule that fixing some votes leaves
-once; the cross-check's swing counts and the dense table are both read off it.
+weights by the same positive constant changes nothing.  The dense table
+(:meth:`VotingSystem.to_table`) is folded up the rule's decision diagram,
+which stores each rule that fixing some votes leaves once.
 
 Quotas above the total weight are deliberately legal - the analyzer reports
 the resulting constant-0 system as a finding rather than refusing it.
@@ -21,48 +21,8 @@ from typing import Optional
 from .truthtable import N_MAX, TruthTable, _is_int
 
 
-#: Node ids of the two constants on every level of a :class:`Diagram`.
+#: Node ids of the two constants on every level of a rule's decision diagram.
 ZERO, ONE = 0, 1
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Ordered decision diagram of a rule, with one level per voter.
-
-    Level ``i`` (0-based) holds the distinct rules on voters ``i + 1..n``
-    that fixing the votes of the voters before them leaves.  Ids
-    :data:`ZERO` and :data:`ONE` are the constants, and ``no[i][k - 2]`` and
-    ``yes[i][k - 2]`` are the children of level ``i``'s inner node ``k`` when
-    voter ``i + 1`` says no and yes, both ids on level ``i + 1``; level
-    ``n`` has only the constants.  The root is inner node 2 of level 0, and
-    there is none when the rule is constant 0.  The diagram is
-    quasi-reduced: no two nodes of a level are the same rule, and a node
-    whose children are equal is kept, so that every edge goes down exactly
-    one level.
-    """
-
-    no: tuple[tuple[int, ...], ...]
-    yes: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.no)
-
-    def to_table(self) -> TruthTable:
-        """The rule's dense truth table, folded up the diagram.
-
-        A node's table is its yes child's table above its no child's, one
-        shift and one ``|`` per node, and each level's tables are dropped as
-        soon as the level above is built.
-        """
-        n = self.n
-        tables = [0, 1]  # ZERO and ONE on level n, where no vote is left
-        for i in range(n - 1, -1, -1):
-            half = 1 << (n - 1 - i)
-            tables = [0, (1 << 2 * half) - 1] + [
-                (tables[yes] << half) | tables[no] for no, yes in zip(self.no[i], self.yes[i])
-            ]
-        return TruthTable(n, tables[2] if len(tables) > 2 else 0)
 
 
 @dataclass(frozen=True)
@@ -114,8 +74,20 @@ class VotingSystem:
 
     # -- realization ---------------------------------------------------------
 
-    def diagram(self) -> Diagram:
-        """The rule's decision diagram, voters in the system's order.
+    def _diagram(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The rule's ordered decision diagram, one level per voter, voters in
+        the system's order, as its per-level child lists ``(no, yes)``.
+
+        Level ``i`` (0-based) holds the distinct rules on voters ``i + 1..n``
+        that fixing the votes of the voters before them leaves.  Ids
+        :data:`ZERO` and :data:`ONE` are the constants, and ``no[i][k - 2]``
+        and ``yes[i][k - 2]`` are the children of level ``i``'s inner node
+        ``k`` when voter ``i + 1`` says no and yes, both ids on level
+        ``i + 1``; level ``n`` has only the constants.  The root is inner node
+        2 of level 0, and there is none when the rule is constant 0.  The
+        diagram is quasi-reduced: no two nodes of a level are the same rule,
+        and a node whose children are equal is kept, so that every edge goes
+        down exactly one level.
 
         Fixing the votes of voters ``1..i`` leaves a threshold rule on the
         others with the quota they still need, and the needs that leave the
@@ -176,11 +148,23 @@ class VotingSystem:
 
         node(0, self.quota)
         del node  # the helper refers to itself; drop that cycle with it
-        return Diagram(tuple(map(tuple, nos)), tuple(map(tuple, yeses)))
+        return nos, yeses
 
     def to_table(self) -> TruthTable:
         """Dense truth table: bit j is 1 iff row j's yes-weights reach the quota.
 
-        Folded from :meth:`diagram`, see :meth:`Diagram.to_table`.
+        Folded up the rule's decision diagram (:meth:`_diagram`), which is
+        built first: a node's table is its yes child's table above its no
+        child's, one shift and one ``|`` per node, and each level's tables
+        are dropped as soon as the level above is built.  Raises
+        ``ValueError`` beyond :data:`~banzhaf.truthtable.N_MAX` voters.
         """
-        return self.diagram().to_table()
+        n = self.n
+        nos, yeses = self._diagram()
+        tables = [0, 1]  # ZERO and ONE on level n, where no vote is left
+        for i in range(n - 1, -1, -1):
+            half = 1 << (n - 1 - i)
+            tables = [0, (1 << 2 * half) - 1] + [
+                (tables[yes] << half) | tables[no] for no, yes in zip(nos[i], yeses[i])
+            ]
+        return TruthTable(n, tables[2] if len(tables) > 2 else 0)

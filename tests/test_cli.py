@@ -1,5 +1,6 @@
 """Command-line surface: outputs, whole-report bytes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -489,6 +490,21 @@ def test_derivative_of_expression(capsys):
     assert code == 0
     assert out.splitlines()[0] == "voter X1: weight 2"
     assert out.splitlines()[1] == "X2' X3 | X2 X3'"  # minterms in row order
+
+
+def test_derivative_of_24_unit_voters_is_quick(capsys):
+    # quota 6 of 24: C(23, 5) = 33,649 true rows of a 2**24-row difference,
+    # found in one scan of the table, not one pass over it per row
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "derivative", "--quota", "6", "--weights", ",".join(["1"] * 24),
+        "--voter", "X1",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "voter X1: weight 33649"
+    assert hashlib.sha1(out.encode()).hexdigest() == "10c911c98e633803ab3001e4029a59e63f5ec165"
+    assert elapsed < 2.0
 
 
 def test_derivative_minterm_cap(capsys):

@@ -35,14 +35,12 @@ from banzhaf import (
 import banzhaf.power as power_module
 from banzhaf.power import (
     DP_BLOCK,
-    _dd_swing_counts,
     _dp_swing_counts,
     _mitm_price,
     _mitm_swing_counts,
 )
 import banzhaf.truthtable as truthtable_module
 from banzhaf.truthtable import MAX_BYTES, MAX_SECONDS, N_MAX
-from banzhaf.voting import Diagram
 from reference import count_table, enum_swing_counts, enum_tbp, rule_tables, scaled
 
 EEC = VotingSystem(12, (4, 4, 4, 2, 2, 1), ("F", "G", "I", "B", "N", "L"))
@@ -287,14 +285,6 @@ def large_weight_systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(large_weight_systems())
-def test_diagram_counts_match_enumeration(system):
-    quota, weights = system
-    diagram = VotingSystem(quota, weights).diagram()
-    assert _dd_swing_counts(diagram) == enum_swing_counts(quota, weights)
-
-
-@settings(max_examples=300, deadline=None)
-@given(large_weight_systems())
 @example((1, (0,)))  # n = 1: one empty half
 @example((5, (4,)))
 @example((4, (4,)))
@@ -315,10 +305,10 @@ def test_analyze_without_verify_builds_no_table(monkeypatch):
         raise AssertionError("a truth table was built")
 
     monkeypatch.setattr(VotingSystem, "to_table", refuse)
-    monkeypatch.setattr(Diagram, "to_table", refuse)
+    monkeypatch.setattr(VotingSystem, "_diagram", refuse)
     monkeypatch.setattr(TruthTable, "__post_init__", refuse)
     report = analyze(system, verify=False)
-    assert report.tbp == _dd_swing_counts(system.diagram())  # no dummies here
+    assert report.tbp == tbp_oracle_mitm(system)
     assert not report.oracle_verified
 
 
@@ -694,7 +684,6 @@ def test_every_planned_source_gives_the_enumerated_report(system):
     assert set(sources) == {"meet-in-the-middle"} | ({"subset-sum"} if fits else set())
     for name, (_, count) in sources.items():
         assert power_module._essential(count()) == tbp, name
-    assert power_module._essential(_dd_swing_counts(system.diagram())) == tbp
     for verify in (False, True):
         report = analyze(system, verify=verify)
         assert report.tbp == tbp
@@ -1030,13 +1019,13 @@ def test_structural_checks_are_cross_checked(monkeypatch):
 
 @pytest.mark.parametrize("system", [EEC, EEEC], ids=["six", "nine"])
 def test_verify_catches_every_flipped_table_row(monkeypatch, system):
-    fold = Diagram.to_table
+    fold = VotingSystem.to_table
     for row in range(1 << system.n):
 
         def flipped(self, row=row):
             return TruthTable(self.n, fold(self).bits ^ (1 << row))
 
-        monkeypatch.setattr(Diagram, "to_table", flipped)
+        monkeypatch.setattr(VotingSystem, "to_table", flipped)
         with pytest.raises(OracleDisagreementError):
             analyze(system, verify=True)
 

@@ -417,6 +417,16 @@ def test_minterm_round_trip():
         assert sop_to_tt(tt_to_minterm_sop(table)) == table
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minterm_cubes_are_in_row_order(data):
+    n = data.draw(st.integers(0, 10))
+    bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    expr = tt_to_minterm_sop(TruthTable(n, bits))
+    rows = [sum(1 << n - i for i in range(1, n + 1) if pos >> i & 1) for pos, _ in expr.cubes]
+    assert rows == [j for j in range(1 << n) if bits >> j & 1]
+
+
 def test_minterm_form_cube_cap(monkeypatch):
     import banzhaf.sop as sop_module
 

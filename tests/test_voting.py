@@ -83,10 +83,20 @@ def systems(draw):
     return VotingSystem(draw(st.integers(1, sum(weights) + 2)), weights)
 
 
-@settings(max_examples=300, deadline=None)
-@given(systems())
+@st.composite
+def repeated_large_weight_systems(draw):
+    # a few values up to 10**12, zero among them, drawn with repeats: zero
+    # weights, equal weights and sums that rarely collide all occur
+    values = draw(st.lists(st.integers(0, 10**12), min_size=1, max_size=12)) + [0]
+    weights = tuple(draw(st.lists(st.sampled_from(values), min_size=1, max_size=12)))
+    return VotingSystem(draw(st.integers(1, sum(weights) + 2)), weights)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(systems(), repeated_large_weight_systems()))
 def test_threshold_table_matches_direct_evaluation_with_large_weights(system):
-    # large weights make most partial sums distinct, so few needs are shared
+    # large weights make most partial sums distinct, so few needs are shared;
+    # repeated ones make some levels share many
     n, weights, quota = system.n, system.weights, system.quota
     table = system.to_table()
     for j in range(1 << n):
@@ -145,11 +155,11 @@ def test_diagram_recursion_is_one_frame_per_level():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frame_depth() + 40)  # room for 25 levels, not for 2 per level
     try:
-        diagram = system.diagram()
+        nos, _ = system._diagram()
     finally:
         sys.setrecursionlimit(limit)
-    assert diagram.n == 24 and len(diagram.no[0]) == 1
-    assert all(len(level) <= min(2**i, 2 ** (24 - i) + 1) for i, level in enumerate(diagram.no))
+    assert len(nos) == 24 and len(nos[0]) == 1
+    assert all(len(level) <= min(2**i, 2 ** (24 - i) + 1) for i, level in enumerate(nos))
 
 
 def test_unanimity_and_single_vote_rules():
