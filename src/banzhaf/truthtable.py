@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-#: Largest arity for dense tables (2**24 bits = 2 MiB per table) and for a
-#: system's decision diagram.  Larger systems are counted without either, by
-#: meeting in the middle or subset-sum counting.
+#: Largest arity for dense tables (2**24 bits = 2 MiB per table), so for a
+#: system's table too.  Larger systems are counted without one, by meeting in
+#: the middle or subset-sum counting.
 N_MAX = 24
 
 #: Time budget of one counting-kernel call: its price in seconds, not a timeout.

@@ -305,7 +305,6 @@ def test_analyze_without_verify_builds_no_table(monkeypatch):
         raise AssertionError("a truth table was built")
 
     monkeypatch.setattr(VotingSystem, "to_table", refuse)
-    monkeypatch.setattr(VotingSystem, "_diagram", refuse)
     monkeypatch.setattr(TruthTable, "__post_init__", refuse)
     report = analyze(system, verify=False)
     assert report.tbp == tbp_oracle_mitm(system)
